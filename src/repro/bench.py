@@ -164,17 +164,16 @@ def _run_kernel(source: str, tier: str,
                 facts: dict[str, Any] | None = None) -> dict[str, Any]:
     """Warm steady-state measurement of one execution tier.
 
-    The first (untimed) run pays one-time costs — source generation,
-    ``compile()``, closure building — so the timed second run measures
-    what a long simulation's hot loop actually sees.  The cold wall
-    time is recorded separately for transparency.
+    The first (untimed) run pays one-time costs — source generation
+    and ``compile()`` — so the timed second run measures what a long
+    simulation's hot loop actually sees.  The cold wall time is
+    recorded separately for transparency.
     """
     from repro.fortran.interp import Interpreter
     from repro.fortran.parser import parse_source
     program = parse_source(source)
     lines: list[str] = []
-    interp = Interpreter(program, compiled=tier != "interp",
-                         codegen=tier, facts=facts,
+    interp = Interpreter(program, codegen=tier, facts=facts,
                          on_output=lambda text, frame: lines.append(text))
     unit = program.unit("JACOBI")
     start = time.perf_counter()
@@ -253,7 +252,7 @@ def bench_jacobi_throughput(quick: bool) -> dict[str, Any]:
 
 
 def bench_codegen_throughput(quick: bool) -> dict[str, Any]:
-    """Per-tier statement throughput (interp / closure / source).
+    """Per-tier statement throughput (interp / source).
 
     The CI perf-smoke gate reads this entry: it fails the build when
     the source tier fell back on the Jacobi kernel or vectorized no
@@ -265,7 +264,7 @@ def bench_codegen_throughput(quick: bool) -> dict[str, Any]:
     runs = {tier: _run_kernel(
                 source, tier,
                 facts=facts if tier == "source" else None)
-            for tier in ("interp", "closure", "source")}
+            for tier in ("interp", "source")}
     _assert_tiers_agree(runs)
     base_s = runs["interp"]["seconds"]
     tiers = {}
@@ -802,8 +801,6 @@ def render_bench_report(report: dict[str, Any]) -> str:
         lines.append(
             "codegen tiers:       "
             f"interp {tiers['interp']['stmt_per_s']} stmt/s, "
-            f"closure {tiers['closure']['stmt_per_s']} "
-            f"({tiers['closure']['speedup_vs_interp']:.1f}x), "
             f"source {tiers['source']['stmt_per_s']} "
             f"({tiers['source']['speedup_vs_interp']:.1f}x), "
             f"{cg['data']['kernelized_doalls']} kernel(s)"

@@ -1,8 +1,7 @@
-"""Second-generation compiled layer: Python *source* code generation.
+"""Compiled execution layer: Python *source* code generation.
 
-Where :mod:`repro.fortran.compile` lowers each program unit to a table
-of pre-bound closures (one Python call per statement), this layer emits
-one generated Python function per unit — the whole statement tree
+Instead of walking the AST per statement, this layer emits one
+generated Python function per unit — the whole statement tree
 flattened into a ``while`` dispatch loop over basic-block regions, with
 names resolved to frame-slot accesses at emit time — and compiles it
 once with :func:`compile`.  Three things make it fast:
@@ -34,8 +33,8 @@ Artifacts are cached per ``(unit, facts_digest, cost_scale)`` — the
 facts digest in the key is what invalidates ``kernel_eligible``
 decisions when a different (or stale) facts document is supplied.
 A unit using a construct this layer cannot prove equivalent raises
-:class:`CodegenUnsupported`; the interpreter then falls back to the
-closure tier and records the reason in ``compile_fallbacks``.
+:class:`CodegenUnsupported`; the interpreter then tree-walks that unit
+and records the reason in ``compile_fallbacks``.
 """
 
 from __future__ import annotations
@@ -48,10 +47,6 @@ import numpy as np
 
 from repro._util.errors import FortranError
 from repro.fortran import ast_nodes as ast
-from repro.fortran.compile import (
-    _SKIP_CLASSES,
-    kernel_eligible_doalls,
-)
 from repro.fortran.formats import apply_format, parse_format
 from repro.fortran.intrinsics import call_intrinsic, is_intrinsic
 from repro.fortran.interp import (
@@ -74,11 +69,16 @@ _INT = FType.INTEGER
 _REAL = FType.REAL
 _DOUBLE = FType.DOUBLE
 
-# slot kinds (same classification as the closure tier)
-_CELL = "cell"
-_ARRAY = "array"
-_MAYBE = "maybe"
-_DYNAMIC = "dynamic"
+# slot kinds
+_CELL = "cell"        # provably a Cell for the whole invocation
+_ARRAY = "array"      # provably an FArray (declared bounds)
+_MAYBE = "maybe"      # dummy argument: Cell or FArray per call site
+_DYNAMIC = "dynamic"  # procedure-named: replicate dict semantics exactly
+
+#: declaration-like statements: no cost, no execution
+_SKIP_CLASSES = (ast.Declaration, ast.DimensionDecl, ast.CommonDecl,
+                 ast.ParameterDecl, ast.DataDecl, ast.ExternalDecl,
+                 ast.FormatStmt)
 
 
 class CodegenUnsupported(Exception):
@@ -94,6 +94,35 @@ def facts_digest(doc) -> str:
         return "no-facts"
     blob = json.dumps(doc, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def kernel_eligible_doalls(facts) -> dict[str, set[int]]:
+    """Routine name -> DOALL labels the analyzer proved race-free.
+
+    ``facts`` is a ``force check --facts`` document (see
+    :mod:`repro.analysis.facts`).  A DOALL whose body the race engine
+    could not fault keeps its numeric label through translation (the
+    sed expansion emits ``DO <label> I = ...``), so this layer can find
+    the exact loop and treat it as an array-kernel candidate: its
+    iterations touch disjoint storage, so it may run them without
+    per-iteration synchronization.  Loops absent here must stay on the
+    conservative path.
+    """
+    out: dict[str, set[int]] = {}
+    if not facts:
+        return out
+    for entry in facts.get("files", []):
+        for doall in entry.get("doalls", []):
+            if not doall.get("race_free"):
+                continue
+            try:
+                label = int(doall.get("label") or 0)
+            except (TypeError, ValueError):
+                continue
+            if label > 0:
+                out.setdefault(
+                    str(doall["routine"]).upper(), set()).add(label)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +244,8 @@ def _ge(a, b):
 
 
 def _ld1(cell, fast, sub):
-    """1-D array element load with the closure tier's fast path."""
+    """1-D array element load; in-bounds subscripts read the numpy
+    buffer directly through the frame's ``fast`` view."""
     if sub.__class__ is not int:
         sub = int(sub)
     if fast is not None:
@@ -227,7 +257,8 @@ def _ld1(cell, fast, sub):
 
 
 def _st1(cell, fast, v, sub):
-    """1-D array element store with the closure tier's typed fast path."""
+    """1-D array element store; in-bounds values already of the
+    buffer's type skip the :meth:`FArray.set` coercion."""
     if sub.__class__ is not int:
         sub = int(sub)
     if fast is not None:
@@ -245,7 +276,8 @@ def _st1(cell, fast, v, sub):
 
 
 def _sca(cell, v):
-    """Scalar cell assignment, type-specialized like the closure tier."""
+    """Scalar cell assignment, type-specialized for int/float values
+    (anything else goes through the coercing :meth:`Cell.set`)."""
     cls = v.__class__
     ftype = cell.ftype
     if cls is float:
@@ -319,8 +351,8 @@ def _dvc(entry, name, unit):
 
 
 def _adv(frame, executed, nxt):
-    """DO terminal advance — identical trip accounting to the closure
-    tier (typed increment of the loop variable)."""
+    """DO terminal advance — identical trip accounting to the
+    tree-walker (typed increment of the loop variable)."""
     stack = frame.do_stack
     while stack and stack[-1][1] == executed:
         entry = stack[-1]
@@ -579,7 +611,7 @@ def _consults_valid(consults, interp) -> bool:
 
 
 # ----------------------------------------------------------------------
-# program / unit wrappers (mirrors compile.CompiledProgram)
+# program / unit wrappers
 # ----------------------------------------------------------------------
 class CodegenProgram:
     """Per-interpreter cache of source-generated units."""
@@ -587,7 +619,7 @@ class CodegenProgram:
     def __init__(self, interp) -> None:
         self.interp = interp
         self._units: dict[str, "CodegenUnit | None"] = {}
-        #: unit name -> reason the next tier down is used instead
+        #: unit name -> reason the tree-walker is used instead
         self.fallbacks: dict[str, str] = {}
         self.facts_key = facts_digest(getattr(interp, "facts", None))
         #: routine -> race-free DOALL labels from the analysis facts
@@ -686,8 +718,9 @@ class CodegenUnit:
         return None
 
     def _bind(self, frame) -> None:
-        """Resolve slots to this invocation's storage (same fast-view
-        capture as the closure tier)."""
+        """Resolve slots to this invocation's storage, capturing a
+        ``(data, lower, extent, is_int)`` fast view per 1-D numeric
+        array for :func:`_ld1` / :func:`_st1`."""
         from repro.fortran.interp import Cell
         variables = frame.vars
         slots = []
@@ -746,7 +779,7 @@ class _EmitterBase:
         self.consults: list[tuple[str, str, bool]] = []
         self.kernel_labels: list[int] = []
 
-        # name classification (same rules as the closure tier)
+        # name classification (see the slot kinds above)
         self._params = set(unit.params)
         self._bounds_names: set[str] = set()
         self._externals: set[str] = set()

@@ -42,7 +42,7 @@ class Cost:
     """Charge ``cycles`` of simulated time to the executing process.
 
     ``statements`` is the number of source statements the event
-    accounts for: the tree-walker and closure tiers emit one event per
+    accounts for: the tree-walker emits one event per
     statement (``statements == 1``), while the source-codegen tier
     batches straight-line runs and vectorized DOALL kernels into
     aggregate events carrying the exact statement count the tree
@@ -274,7 +274,8 @@ class Frame:
         self.interpreter: Interpreter | None = None
         self.result_cell: Cell | None = None
         self.externals: set[str] = set()
-        # compiled-layer bindings (repro.fortran.compile)
+        # per-invocation slot bindings of the source-codegen tier
+        # (repro.fortran.codegen): storage, ArgRefs, 1-D fast views
         self.slots: list | None = None
         self.argrefs: list | None = None
         self.fast: list | None = None
@@ -313,7 +314,6 @@ class Interpreter:
                  on_output: Callable[[str, Frame], None] | None = None,
                  cost_scale: int = 1,
                  max_call_depth: int = 64,
-                 compiled: bool = True,
                  facts: dict | None = None,
                  codegen: str | None = None) -> None:
         self.program = program
@@ -328,22 +328,19 @@ class Interpreter:
         #: the compiled layer uses it to find DOALLs the static race
         #: engine proved race-free (kernel-lowering candidates).
         self.facts = facts
-        # Compiled execution layers: on by default, REPRO_NO_JIT=1
-        # forces the tree-walker everywhere.  ``codegen`` picks the
-        # tier: "source" (repro.fortran.codegen, the default), or
-        # "closure" (repro.fortran.compile), or "interp" (tree-walk).
-        self.compiled_enabled = compiled and not os.environ.get(
-            "REPRO_NO_JIT")
-        tier = codegen if codegen is not None \
-            else os.environ.get("REPRO_CODEGEN") or "source"
-        if tier not in ("source", "closure", "interp"):
+        # ``codegen`` picks the execution tier: "source"
+        # (repro.fortran.codegen, the default) or "interp" (the
+        # tree-walker).  Left unset, REPRO_CODEGEN names it, and
+        # REPRO_NO_JIT=1 is a spelling of REPRO_CODEGEN=interp.
+        tier = codegen
+        if tier is None:
+            tier = "interp" if os.environ.get("REPRO_NO_JIT") \
+                else os.environ.get("REPRO_CODEGEN") or "source"
+        if tier not in ("source", "interp"):
             raise FortranError(
                 f"unknown codegen tier {tier!r} "
-                "(expected source, closure or interp)")
-        if not self.compiled_enabled:
-            tier = "interp"
+                "(expected source or interp)")
         self.codegen_tier = tier
-        self._compiled = None
         self._codegen = None
 
     # ------------------------------------------------------------------
@@ -363,28 +360,17 @@ class Interpreter:
         """Generator executing one unit invocation.
 
         The generator's return value (StopIteration.value) is the
-        function result for FUNCTION units, else None.  Units compile
-        to closure tables on first use (see
-        :mod:`repro.fortran.compile`); units the compiled layer cannot
-        handle fall back to the tree-walker, with the reason recorded
-        in :attr:`compile_fallbacks`.
+        function result for FUNCTION units, else None.  On the source
+        tier units compile to generated Python on first use (see
+        :mod:`repro.fortran.codegen`); units it cannot handle fall
+        back to the tree-walker, with the reason recorded in
+        :attr:`compile_fallbacks`.
         """
-        tier = self.codegen_tier
-        if tier != "interp" and self.compiled_enabled:
-            if tier == "source":
-                generated = self._codegen_unit(unit)
-                if generated is not None:
-                    return generated.run(args, depth, process)
-            compiled = self._compiled_unit(unit)
-            if compiled is not None:
-                return compiled.run(args, depth, process)
+        if self.codegen_tier == "source":
+            generated = self._codegen_unit(unit)
+            if generated is not None:
+                return generated.run(args, depth, process)
         return self._run_unit_tree(unit, args, depth, process)
-
-    def _compiled_unit(self, unit: ProgramUnit):
-        if self._compiled is None:
-            from repro.fortran.compile import CompiledProgram
-            self._compiled = CompiledProgram(self)
-        return self._compiled.unit_for(unit)
 
     def _codegen_unit(self, unit: ProgramUnit):
         if self._codegen is None:
@@ -394,34 +380,21 @@ class Interpreter:
 
     @property
     def compile_fallbacks(self) -> dict[str, str]:
-        """Unit name -> reason a faster tier was skipped (empty when
-        every executed unit ran on the best enabled tier).
-
-        With the source-codegen tier a unit may fall back twice —
-        codegen -> closures -> tree-walker; the recorded reason then
-        carries both stages."""
-        out: dict[str, str] = {}
-        if self._codegen is not None:
-            for name, reason in self._codegen.fallbacks.items():
-                out[name] = f"codegen: {reason}"
-        if self._compiled is not None:
-            for name, reason in self._compiled.fallbacks.items():
-                prev = out.get(name)
-                out[name] = f"{prev}; closures: {reason}" if prev \
-                    else reason
-        return out
+        """Unit name -> ``"codegen: <reason>"`` for each executed unit
+        the source tier handed to the tree-walker (empty when every
+        unit ran generated code, and always empty on the interp tier)."""
+        if self._codegen is None:
+            return {}
+        return {name: f"codegen: {reason}"
+                for name, reason in self._codegen.fallbacks.items()}
 
     @property
     def kernel_eligible(self) -> dict[str, list[int]]:
         """Unit name -> labels of compiled DO loops the analysis facts
         proved race-free (array-kernel candidates); empty without a
         facts document or before any unit compiles."""
-        out: dict[str, list[int]] = {}
-        if self._compiled is not None:
-            out.update(self._compiled.kernel_eligible)
-        if self._codegen is not None:
-            out.update(self._codegen.kernel_eligible)
-        return out
+        return {} if self._codegen is None \
+            else dict(self._codegen.kernel_eligible)
 
     @property
     def codegen_kernelized(self) -> dict[str, list[int]]:

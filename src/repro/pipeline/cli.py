@@ -235,10 +235,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="N",
                      help="indices claimed per lock round for "
                           "--sched chunked (implies it when > 1)")
-    run.add_argument("--no-jit", action="store_true",
-                     help="execute on the tree-walking interpreter "
-                          "instead of the compiled execution layer "
-                          "(the differential-testing oracle)")
+    run.add_argument("--no-jit", dest="codegen", action="store_const",
+                     const="interp",
+                     help="same as --codegen interp")
     run.add_argument("--checkpoint", metavar="DIR", default=None,
                      help="write barrier-epoch snapshots here "
                           "(native process backend only)")
@@ -263,15 +262,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--facts", metavar="FILE", default=None,
                      help="analysis facts written by 'force check "
                           "--facts'; DOALLs it proves race-free are "
-                          "marked kernel-eligible in the compiled layer "
-                          "(and lowered to numpy kernels on the source "
-                          "tier); stale-revision facts are refused")
-    run.add_argument("--codegen",
-                     choices=["source", "closure", "interp"],
+                          "marked kernel-eligible and lowered to numpy "
+                          "kernels by the source tier; stale-revision "
+                          "facts are refused")
+    run.add_argument("--codegen", choices=["source", "interp"],
                      default=None,
                      help="execution tier: generated Python source "
-                          "(default), pre-bound closures, or the "
-                          "tree-walking interpreter")
+                          "(default) or the tree-walking interpreter "
+                          "(the differential-testing oracle); unset, "
+                          "REPRO_CODEGEN or REPRO_NO_JIT=1 decides")
     run.add_argument("--dump-codegen", metavar="DIR", default=None,
                      help="write each unit's generated Python source "
                           "(per-line Fortran provenance comments) "
@@ -478,7 +477,7 @@ def _emit_python(path: str, translation) -> int:
                      "expanded Fortran line.\n\n")
         handle.write("\n".join(chunks) or "# (no units compiled)\n")
         if skipped:
-            handle.write("\n# units that fell back to slower tiers: "
+            handle.write("\n# units that fell back to the tree-walker: "
                          + ", ".join(skipped) + "\n")
     print(f"codegen: {len(sources)} unit(s) written to {path}"
           + (f" ({len(skipped)} fell back)" if skipped else ""),
@@ -523,7 +522,7 @@ def _dump_codegen(outdir: str, result, backend: str) -> None:
               file=sys.stderr)
     else:
         print("force: note: no generated source to dump (units fell "
-              "back, or the run used --codegen closure/interp)",
+              "back, or the run used --codegen interp)",
               file=sys.stderr)
 
 
@@ -566,7 +565,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = force_run(translation, args.nproc,
                            trace=args.trace is not None,
                            deadline=args.deadline,
-                           compiled=not args.no_jit,
                            facts=facts,
                            codegen=args.codegen)
     else:
@@ -578,7 +576,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                             metrics=args.metrics is not None,
                             trace_capacity=args.trace_buffer,
                             deadline=args.deadline,
-                            compiled=not args.no_jit,
                             codegen=args.codegen,
                             retries=args.retries,
                             min_nproc=args.min_nproc,

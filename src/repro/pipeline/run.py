@@ -116,7 +116,6 @@ def force_run(translation: TranslationResult, nproc: int, *,
               processors: int | None = None,
               unlimited_processors: bool = False,
               deadline: float | None = None,
-              compiled: bool = True,
               facts: dict | None = None,
               codegen: str | None = None) -> RunResult:
     """Simulate a translated Force program with ``nproc`` processes.
@@ -127,15 +126,15 @@ def force_run(translation: TranslationResult, nproc: int, *,
     ideal CPU (algorithm-measurement mode).  ``deadline`` bounds the
     run in wall-clock seconds — exceeding it raises
     :class:`~repro._util.errors.SimDeadlockError` instead of churning
-    forever on a livelocked program.  ``compiled=False`` forces the
-    tree-walking interpreter (the ``--no-jit`` differential oracle).
-    ``facts`` is a ``force check --facts`` document; the compiled layer
-    uses it to mark statically race-free DOALLs as kernel candidates
-    (reported in :attr:`RunResult.kernel_eligible`) and — on the
-    source-codegen tier — to lower them to numpy slice kernels
-    (reported in :attr:`RunResult.kernelized_doalls`).  ``codegen``
-    picks the execution tier (``"source"``/``"closure"``/``"interp"``,
-    default ``"source"``).
+    forever on a livelocked program.  ``facts`` is a ``force check
+    --facts`` document; the source-codegen tier uses it to mark
+    statically race-free DOALLs as kernel candidates (reported in
+    :attr:`RunResult.kernel_eligible`) and to lower them to numpy
+    slice kernels (reported in :attr:`RunResult.kernelized_doalls`).
+    ``codegen`` picks the execution tier: ``"source"`` (generated
+    Python, the default) or ``"interp"`` (the tree-walking
+    interpreter, the ``--no-jit`` differential oracle); left unset,
+    ``REPRO_CODEGEN`` / ``REPRO_NO_JIT=1`` in the environment decide.
     """
     machine = translation.machine
     if nproc <= 0:
@@ -155,7 +154,7 @@ def force_run(translation: TranslationResult, nproc: int, *,
     if machine.sharing_binding is SharingBinding.LINK_TIME:
         collector = _StartupCollector()
         startup_interp = Interpreter(program, external=collector,
-                                     compiled=compiled, codegen=codegen)
+                                     codegen=codegen)
         if "ZZSTRT" in program.units:
             drain(startup_interp.run_unit(program.unit("ZZSTRT"), []))
         for block in collector.blocks:
@@ -176,7 +175,7 @@ def force_run(translation: TranslationResult, nproc: int, *,
 
     interp = Interpreter(program, external=runtime,
                          commons=runtime.provider, on_output=on_output,
-                         compiled=compiled, facts=facts, codegen=codegen)
+                         facts=facts, codegen=codegen)
     runtime.interpreter = interp
 
     driver_holder: list = []

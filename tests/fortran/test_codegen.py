@@ -1,6 +1,6 @@
 """Source-codegen tier specifics: caching, facts gating, provenance.
 
-The differential contract (codegen vs closures vs tree-walker) lives
+The differential contract (codegen vs tree-walker) lives
 in ``test_compiled_vs_interp.py``; this file covers what is unique to
 the generated-source tier — the artifact cache keyed on the facts
 digest, the numpy kernel gate, provenance comments, and the
@@ -158,7 +158,44 @@ class TestTierSelection:
         with pytest.raises(FortranError, match="unknown codegen tier"):
             Interpreter(parse_source(KERNEL_SOURCE), codegen="llvm")
 
-    def test_no_jit_overrides_tier(self):
-        interp = Interpreter(parse_source(KERNEL_SOURCE),
-                             compiled=False, codegen="source")
+    def test_closure_tier_rejected(self, monkeypatch):
+        from repro._util.errors import FortranError
+        with pytest.raises(FortranError, match="unknown codegen tier"):
+            Interpreter(parse_source(KERNEL_SOURCE), codegen="closure")
+        monkeypatch.setenv("REPRO_CODEGEN", "closure")
+        with pytest.raises(FortranError, match="unknown codegen tier"):
+            Interpreter(parse_source(KERNEL_SOURCE))
+
+    def test_no_jit_env_spells_interp(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_JIT", "1")
+        monkeypatch.setenv("REPRO_CODEGEN", "source")
+        interp = Interpreter(parse_source(KERNEL_SOURCE))
         assert interp.codegen_tier == "interp"
+
+    def test_no_jit_overrides_tier(self):
+        from repro.pipeline.cli import _build_parser
+        parser = _build_parser()
+        for argv, tier in ((["--no-jit"], "interp"),
+                           (["--codegen", "interp"], "interp"),
+                           (["--codegen", "source"], "source"),
+                           ([], None),
+                           (["--codegen", "source", "--no-jit"],
+                            "interp")):
+            args = parser.parse_args(["run", "prog.frc", *argv])
+            assert args.codegen == tier, argv
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "prog.frc", "--codegen", "closure"])
+
+    def test_no_jit_cli_runs_tree_walker(self, tmp_path, capsys):
+        from pathlib import Path
+
+        from repro.pipeline.cli import main
+        example = str(Path(__file__).resolve().parents[2]
+                      / "examples" / "jacobi.frc")
+        for flag, dumped in (([], True), (["--no-jit"], False)):
+            outdir = tmp_path / ("default" if dumped else "no-jit")
+            assert main(["run", example, *flag,
+                         "--dump-codegen", str(outdir)]) == 0
+            files = list(outdir.glob("*.py")) if outdir.exists() else []
+            assert bool(files) is dumped, flag
+        assert "--codegen interp" in capsys.readouterr().err

@@ -1,13 +1,11 @@
-"""Differential harness: the faster execution tiers vs the tree-walker.
+"""Differential harness: the source-codegen tier vs the tree-walker.
 
-Both compiled tiers — the closure compiler (``fortran/compile.py``)
-and the source-codegen tier (``fortran/codegen.py``) — must be
-*bit-identical* to the tree-walking interpreter they replace: same
-output lines, same simulated schedules (cost events feed the
-discrete-event scheduler, so makespan and lock statistics are part of
-the contract), same final COMMON storage, and same errors on bad
-programs.  The tree-walker is the oracle; any divergence here is a
-compiler bug by definition.
+The compiled tier (``fortran/codegen.py``) must be *bit-identical* to
+the tree-walking interpreter it replaces: same output lines, same
+simulated schedules (cost events feed the discrete-event scheduler, so
+makespan and lock statistics are part of the contract), same final
+COMMON storage, and same errors on bad programs.  The tree-walker is
+the oracle; any divergence here is a compiler bug by definition.
 
 The seeded mini-fuzzer at the bottom generates straight-line units
 (assignment soup over scalars and arrays, then WRITE everything) so
@@ -35,8 +33,8 @@ NON_RUNNABLE = {"racy_stencil.frc"}
 RUNNABLE = sorted(p.name for p in EXAMPLES.glob("*.frc")
                   if p.name not in NON_RUNNABLE)
 
-#: the three execution tiers, oracle first
-TIERS = ("interp", "closure", "source")
+#: the execution tiers, oracle first
+TIERS = ("interp", "source")
 
 
 def run_tiers(source, input_data=None, tiers=TIERS):
@@ -50,8 +48,7 @@ def run_tiers(source, input_data=None, tiers=TIERS):
     interps = []
     for tier in tiers:
         program = parse_source(strip_margin(source))
-        interp = Interpreter(program, compiled=tier != "interp",
-                             codegen=tier)
+        interp = Interpreter(program, codegen=tier)
         if input_data is not None:
             interp.set_input(input_data)
         statements = cycles = 0
@@ -62,12 +59,6 @@ def run_tiers(source, input_data=None, tiers=TIERS):
         interp.cost_totals = (statements, cycles)
         interps.append(interp)
     return interps
-
-
-def run_both(source, input_data=None):
-    """Back-compat wrapper: (tree-walker, best compiled tier)."""
-    tree, _, comp = run_tiers(source, input_data)
-    return tree, comp
 
 
 def common_state(interp):
@@ -91,30 +82,29 @@ class TestExamplesBitIdentical:
     def test_example_identical(self, example, machine_key, nproc):
         source = (EXAMPLES / example).read_text(encoding="utf-8")
         translation = force_translate(source, get_machine(machine_key))
-        tree = force_run(translation, nproc, compiled=False)
-        for tier in ("closure", "source"):
-            comp = force_run(translation, nproc, codegen=tier)
-            assert comp.output == tree.output, tier
-            assert comp.output_records == tree.output_records, tier
-            assert comp.makespan == tree.makespan, tier
-            assert comp.stats.statements == tree.stats.statements, tier
-            assert comp.stats.lock_acquisitions == \
-                tree.stats.lock_acquisitions, tier
-            assert comp.stats.contended_acquisitions == \
-                tree.stats.contended_acquisitions, tier
-            assert comp.stats.spin_cycles == tree.stats.spin_cycles, tier
-            assert comp.stats.context_switches == \
-                tree.stats.context_switches, tier
-            assert comp.compile_fallbacks == {}, tier
+        tree = force_run(translation, nproc, codegen="interp")
+        comp = force_run(translation, nproc, codegen="source")
+        assert comp.output == tree.output
+        assert comp.output_records == tree.output_records
+        assert comp.makespan == tree.makespan
+        assert comp.stats.statements == tree.stats.statements
+        assert comp.stats.lock_acquisitions == \
+            tree.stats.lock_acquisitions
+        assert comp.stats.contended_acquisitions == \
+            tree.stats.contended_acquisitions
+        assert comp.stats.spin_cycles == tree.stats.spin_cycles
+        assert comp.stats.context_switches == \
+            tree.stats.context_switches
+        assert comp.compile_fallbacks == {}
 
     @pytest.mark.parametrize("example", RUNNABLE)
-    @pytest.mark.parametrize("tier", ["closure", "source"])
+    @pytest.mark.parametrize("tier", ["source"])
     def test_example_identical_under_chunked_sched(self, example, tier):
         source = (EXAMPLES / example).read_text(encoding="utf-8")
         machine = get_machine("sequent-balance")
         translation = force_translate(source, machine,
                                       sched="chunked", chunk=8)
-        tree = force_run(translation, 4, compiled=False)
+        tree = force_run(translation, 4, codegen="interp")
         comp = force_run(translation, 4, codegen=tier)
         assert comp.output == tree.output
         assert comp.makespan == tree.makespan
@@ -233,13 +223,12 @@ FEATURE_INPUT = {"read_into_array": "4 5 6\n"}
 class TestFeatureProgramsIdentical:
     @pytest.mark.parametrize("name", sorted(FEATURE_PROGRAMS))
     def test_feature_identical(self, name):
-        tree, closure, source = run_tiers(
+        tree, comp = run_tiers(
             FEATURE_PROGRAMS[name],
             input_data=FEATURE_INPUT.get(name))
-        for tier, comp in (("closure", closure), ("source", source)):
-            assert comp.output == tree.output, tier
-            assert common_state(comp) == common_state(tree), tier
-            assert comp.cost_totals == tree.cost_totals, tier
+        assert comp.output == tree.output
+        assert common_state(comp) == common_state(tree)
+        assert comp.cost_totals == tree.cost_totals
 
 
 ERROR_PROGRAMS = {
@@ -272,8 +261,7 @@ class TestErrorsIdentical:
         messages = []
         for tier in TIERS:
             program = parse_source(strip_margin(source))
-            interp = Interpreter(program, compiled=tier != "interp",
-                                 codegen=tier)
+            interp = Interpreter(program, codegen=tier)
             if name == "fell_off_the_end":
                 # this one terminates normally on END; skip the error
                 # comparison and just check all tiers complete alike
@@ -286,28 +274,65 @@ class TestErrorsIdentical:
         assert len(set(messages)) == 1, messages
 
 
+#: the programs the source tier refuses, with the reason it records;
+#: the tree-walker then runs them and must raise its usual error
+FALLBACK_PROGRAMS = {
+    "bad_format_descriptor": (
+        ERROR_PROGRAMS["bad_format_descriptor"],
+        {"MAIN": "codegen: unsupported FORMAT descriptor 'Q7'"}),
+    "missing_format_label": ("""\
+      PROGRAM P
+      WRITE(*,999) 1
+      END
+    """, {"P": "codegen: no FORMAT labelled 999"}),
+    "label_not_a_format": ("""\
+      PROGRAM P
+      WRITE(*,10) 1
+10    CONTINUE
+      END
+    """, {"P": "codegen: label 10 is not a FORMAT statement"}),
+}
+
+
+class TestFallbackRecord:
+    @pytest.mark.parametrize("name", sorted(FALLBACK_PROGRAMS))
+    def test_fallback_reason_and_error(self, name):
+        source, expected = FALLBACK_PROGRAMS[name]
+        errors = {}
+        for tier in TIERS:
+            interp = Interpreter(parse_source(strip_margin(source)),
+                                 codegen=tier)
+            with pytest.raises(FortranError) as excinfo:
+                drain(interp.run_program())
+            errors[tier] = str(excinfo.value)
+            assert interp.compile_fallbacks == \
+                (expected if tier == "source" else {})
+        assert errors["source"] == errors["interp"]
+
+
 class TestFallbackControls:
+    PROGRAM = strip_margin("""\
+      PROGRAM MAIN
+      WRITE(*,*) 1
+      END
+        """)
+
     def test_env_var_forces_tree_walker(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_JIT", "1")
-        program = parse_source(strip_margin("""\
-      PROGRAM MAIN
-      WRITE(*,*) 1
-      END
-        """))
-        interp = Interpreter(program)
-        assert not interp.compiled_enabled
+        monkeypatch.delenv("REPRO_CODEGEN", raising=False)
+        interp = Interpreter(parse_source(self.PROGRAM))
+        assert interp.codegen_tier == "interp"
         drain(interp.run_program())
         assert interp.output == [" 1"] or interp.output
+        assert interp.compile_fallbacks == {}
+        assert interp.codegen_sources() == {}
 
     def test_constructor_flag_forces_tree_walker(self):
-        program = parse_source(strip_margin("""\
-      PROGRAM MAIN
-      WRITE(*,*) 1
-      END
-        """))
-        interp = Interpreter(program, compiled=False)
-        assert not interp.compiled_enabled
+        interp = Interpreter(parse_source(self.PROGRAM), codegen="interp")
+        assert interp.codegen_tier == "interp"
+        drain(interp.run_program())
         assert interp.compile_fallbacks == {}
+        assert interp.codegen_sources() == {}
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +381,7 @@ def _fuzz_program(rng):
     cannot explode into huge bignums; ``I`` stays fixed so ``A(I)``
     subscripts are always in bounds.  Divisions only ever use nonzero
     literals.  Any remaining float corner (inf propagation, negative
-    zero) must simply agree across the three tiers.
+    zero) must simply agree across the tiers.
     """
     lines = ["      PROGRAM FUZZ",
              "      INTEGER I, J, K, L, A(5)",
@@ -396,8 +421,7 @@ class TestStraightLineFuzz:
         results = []
         for tier in TIERS:
             program = parse_source(source)
-            interp = Interpreter(program, compiled=tier != "interp",
-                                 codegen=tier)
+            interp = Interpreter(program, codegen=tier)
             statements = cycles = 0
             error = None
             try:

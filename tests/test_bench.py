@@ -104,8 +104,6 @@ class TestWallSpeedup:
                  "data": {"tiers": {
                      "interp": {"stmt_per_s": 10,
                                 "speedup_vs_interp": 1.0},
-                     "closure": {"stmt_per_s": 50,
-                                 "speedup_vs_interp": 5.0},
                      "source": {"stmt_per_s": 900,
                                 "speedup_vs_interp": 90.0}},
                      "kernelized_doalls": 2,
@@ -172,7 +170,7 @@ class TestCodegenThroughput:
     def test_quick_entry_shape(self):
         outcome = bench.bench_codegen_throughput(True)
         data = outcome["data"]
-        assert set(data["tiers"]) == {"interp", "closure", "source"}
+        assert set(data["tiers"]) == {"interp", "source"}
         # the perf gate CI greps for: no fallback, kernels lowered
         assert data["codegen_fell_back"] is False
         assert data["kernelized_doalls"] > 0
