@@ -2,7 +2,7 @@
 
 The :class:`FaultInjector` lives on a :class:`~repro.runtime.force.Force`
 run (``Force(..., inject=plan)``) and is consulted from the *same*
-interception points the stats/trace layers use.  Each consultation is
+interception points the metrics/trace layers use.  Each consultation is
 one ``fire(site, name, me)`` call; the injector counts matching hits
 per spec and executes the spec's fault exactly at its scheduled
 occurrence:

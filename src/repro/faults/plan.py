@@ -29,7 +29,7 @@ Fault kinds
 Site identifiers
 ----------------
 
-Sites are the same interception points the stats/trace hooks use::
+Sites are the same interception points the metrics/trace hooks use::
 
     barrier.entry      barrier.episode
     critical.acquire   critical.hold
@@ -61,7 +61,7 @@ from repro._util.errors import ForceError
 
 FAULT_KINDS = ("raise", "die", "delay", "lost-wakeup")
 
-#: interception sites, mirroring the stats/trace hook points
+#: interception sites, mirroring the metrics/trace hook points
 SITES = (
     "barrier.entry",
     "barrier.episode",

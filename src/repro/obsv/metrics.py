@@ -16,10 +16,12 @@ needs:
   memory stays bounded, the kept samples spread across the whole run,
   and the process is deterministic — no RNG in the hot path.
 
-Cost model (same contract as :mod:`repro.runtime.stats`): a Force
-constructed without ``metrics=True`` keeps no registry at all and each
-interception point pays one ``is None`` test; an enabled registry's
-record path is one dict lookup + a few float ops under a lock.
+Cost model: a Force constructed with neither ``stats=True`` nor
+``metrics=True`` keeps no registry at all and each interception point
+pays one ``is None`` test; an enabled registry's record path is one
+dict lookup + a few float ops under the registry lock.  The registry
+is the run's only collector: ``Force.stats`` is a view of it (see
+:func:`repro.runtime.stats.stats_from_registry`).
 
 Exports: :meth:`MetricsRegistry.to_prometheus` (text exposition
 format) and :meth:`MetricsRegistry.as_dict` (JSON document, schema
@@ -159,6 +161,10 @@ class Histogram:
     def merge(self, other: "Histogram") -> None:
         if other.count == 0:
             return
+        # Extremes merge exactly on every path: the reservoir replay
+        # below may have decimated the other side's min or max away.
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
         if other.buckets != self.buckets:
             # Re-bucket through the reservoir: approximate but bounded.
             for value in other.reservoir:
@@ -168,8 +174,6 @@ class Histogram:
             return
         self.count += other.count
         self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
         for index, n in enumerate(other.bucket_counts):
             self.bucket_counts[index] += n
         for value in other.reservoir:
@@ -228,7 +232,9 @@ class MetricsRegistry:
 
     def __init__(self, namespace: str = "force") -> None:
         self.namespace = namespace
-        self._lock = threading.Lock()
+        # Re-entrant: ForceMetrics holds it across a whole record so
+        # the updates themselves are atomic, not just the lookups.
+        self._lock = threading.RLock()
         #: (name, labelitems) -> metric
         self._metrics: dict[tuple[str, tuple], Any] = {}
         #: name -> (kind, help, constructor kwargs)
@@ -274,6 +280,13 @@ class MetricsRegistry:
                   reservoir: int = 512) -> Histogram:
         return self._get("histogram", name, help, labels,
                          buckets=tuple(buckets), reservoir=reservoir)
+
+    def family(self, name: str) -> dict[tuple, Any]:
+        """``{label items: metric}`` of one family (no registration)."""
+        with self._lock:
+            return {labelitems: metric
+                    for (key, labelitems), metric in self._metrics.items()
+                    if key == name}
 
     # ------------------------------------------------------------------
     # export
@@ -372,7 +385,7 @@ class MetricsRegistry:
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
 
 def _labels_text(labels: dict[str, str]) -> str:
@@ -454,13 +467,42 @@ def validate_metrics(document: Any) -> list[str]:
 # ----------------------------------------------------------------------
 # the runtime facade
 # ----------------------------------------------------------------------
+#: the construct families ForceMetrics records on the hot path:
+#: family -> (kind, label key, help, constructor kwargs)
+_RUNTIME_FAMILIES: dict[str, tuple[str, str | None, str, dict]] = {
+    "barrier_wait_seconds": (
+        "histogram", None, "Time blocked at the barrier", {}),
+    "barrier_episodes_total": (
+        "counter", None, "Barrier episodes completed", {}),
+    "critical_acquisitions_total": (
+        "counter", "name", "Critical-section acquisitions", {}),
+    "critical_contended_total": (
+        "counter", "name", "Contended critical entries", {}),
+    "critical_wait_seconds": (
+        "histogram", "name", "Time blocked entering a critical section",
+        {}),
+    "critical_hold_seconds": (
+        "histogram", "name", "Time the critical section was held", {}),
+    "selfsched_chunks_total": (
+        "counter", "label", "Chunk dispatches (one lock round each)", {}),
+    "selfsched_indices_total": (
+        "counter", "label", "Loop indices handed out", {}),
+    "selfsched_chunk_max": (
+        "gauge", "label", "Largest chunk dispatched", {"mode": "max"}),
+    "asyncvar_blocked_seconds": (
+        "histogram", "name", "Time blocked on a full/empty variable", {}),
+}
+
+
 class ForceMetrics:
     """The runtime's metric surface over one registry.
 
     One small object so the interception points in
     :mod:`repro.runtime.force` / :mod:`repro.runtime.procforce` stay a
     single attribute test + one method call, and the metric names and
-    label conventions live here, in exactly one place:
+    label conventions live here, in exactly one place.  Each record
+    holds the registry lock, so concurrent processes of a thread-backend
+    force never lose an update:
 
     ========================================  ======================
     metric                                    labels
@@ -473,6 +515,7 @@ class ForceMetrics:
     ``force_critical_hold_seconds``           ``name``
     ``force_selfsched_chunks_total``          ``label``
     ``force_selfsched_indices_total``         ``label``
+    ``force_selfsched_chunk_max``             ``label``
     ``force_askfor_put_total``                ``pool``
     ``force_askfor_got_total``                ``pool``
     ``force_askfor_depth_max``                ``pool``
@@ -487,53 +530,59 @@ class ForceMetrics:
     ========================================  ======================
     """
 
-    __slots__ = ("registry",)
+    __slots__ = ("registry", "_series")
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry or MetricsRegistry()
+        #: (family, label value) -> metric: the construct hot path
+        #: skips the registry's key building (metrics, once registered,
+        #: are only ever updated in place)
+        self._series: dict[tuple[str, str], Any] = {}
+
+    def _at(self, family: str, value: str = "") -> Any:
+        """One runtime series (caller holds the registry lock)."""
+        metric = self._series.get((family, value))
+        if metric is None:
+            kind, label, help_text, kwargs = _RUNTIME_FAMILIES[family]
+            metric = getattr(self.registry, kind)(
+                family, {label: value} if label else None,
+                help=help_text, **kwargs)
+            self._series[(family, value)] = metric
+        return metric
 
     # -- barriers ------------------------------------------------------
     def barrier(self, waited: float, released: bool) -> None:
-        self.barrier_wait(waited)
-        if released:
-            self.barrier_episode()
+        with self.registry._lock:
+            self._at("barrier_wait_seconds").observe(waited)
+            if released:
+                self._at("barrier_episodes_total").inc()
 
     def barrier_wait(self, waited: float) -> None:
-        self.registry.histogram(
-            "barrier_wait_seconds",
-            help="Time blocked at the barrier").observe(waited)
+        with self.registry._lock:
+            self._at("barrier_wait_seconds").observe(waited)
 
     def barrier_episode(self) -> None:
-        self.registry.counter(
-            "barrier_episodes_total",
-            help="Barrier episodes completed").inc()
+        with self.registry._lock:
+            self._at("barrier_episodes_total").inc()
 
     # -- critical sections ---------------------------------------------
     def critical(self, name: str, waited: float, contended: bool,
                  held: float) -> None:
-        reg = self.registry
-        labels = {"name": name}
-        reg.counter("critical_acquisitions_total", labels,
-                    help="Critical-section acquisitions").inc()
-        if contended:
-            reg.counter("critical_contended_total", labels,
-                        help="Contended critical entries").inc()
-            reg.histogram("critical_wait_seconds", labels,
-                          help="Time blocked entering a critical "
-                               "section").observe(waited)
-        reg.histogram("critical_hold_seconds", labels,
-                      help="Time the critical section was "
-                           "held").observe(held)
+        with self.registry._lock:
+            self._at("critical_acquisitions_total", name).inc()
+            if contended:
+                self._at("critical_contended_total", name).inc()
+                self._at("critical_wait_seconds", name).observe(waited)
+            self._at("critical_hold_seconds", name).observe(held)
 
     # -- selfscheduled loops -------------------------------------------
     def selfsched_chunk(self, label: str, size: int) -> None:
-        reg = self.registry
-        labels = {"label": label}
-        reg.counter("selfsched_chunks_total", labels,
-                    help="Chunk dispatches (one lock round "
-                         "each)").inc()
-        reg.counter("selfsched_indices_total", labels,
-                    help="Loop indices handed out").inc(size)
+        with self.registry._lock:
+            self._at("selfsched_chunks_total", label).inc()
+            self._at("selfsched_indices_total", label).inc(size)
+            largest = self._at("selfsched_chunk_max", label)
+            if size > largest.value:
+                largest.set(size)
 
     # -- askfor / asyncvar ---------------------------------------------
     def askfor(self, pool: str, *, total_put: int, total_got: int,
@@ -548,10 +597,8 @@ class ForceMetrics:
                   help="Maximum pool depth", mode="max").set(max_depth)
 
     def asyncvar_block(self, name: str, seconds: float) -> None:
-        self.registry.histogram(
-            "asyncvar_blocked_seconds", {"name": name},
-            help="Time blocked on a full/empty "
-                 "variable").observe(seconds)
+        with self.registry._lock:
+            self._at("asyncvar_blocked_seconds", name).observe(seconds)
 
     # -- recovery ------------------------------------------------------
     def checkpoint_written(self, nbytes: int) -> None:

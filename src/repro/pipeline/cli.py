@@ -587,12 +587,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _dump_codegen(args.dump_codegen, result, args.backend)
     trace_file = None
     native = args.backend != "sim"
-    dropped = result.trace_dropped \
-        if native and args.trace is not None else 0
-    if dropped:
+    dropped = result.trace_dropped if args.trace is not None else 0
+    if dropped and native:
         print(f"force: warning: {dropped} trace event(s) dropped "
               "(ring buffer overflow); re-run with a larger "
               "--trace-buffer", file=sys.stderr)
+    elif dropped:
+        from repro.sim.scheduler import TRACE_CAP
+        print(f"force: warning: {dropped} trace event(s) dropped (the "
+              f"simulator keeps at most {TRACE_CAP} events per run)",
+              file=sys.stderr)
     if args.trace is not None and args.trace != "-":
         from repro.trace.export import write_trace_file
         meta = {"source": args.source, "machine": machine.key,
@@ -743,10 +747,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
         if dropped:
+            cause = "the simulator's fixed trace cap" \
+                if meta.get("clock") == "cycles" else \
+                "ring-buffer overflow (re-run with a larger " \
+                "--trace-buffer)"
             print(f"force: warning: this trace lost {dropped} "
-                  "event(s) to ring-buffer overflow; the summary is "
-                  "a lower bound (re-run with a larger "
-                  "--trace-buffer)", file=sys.stderr)
+                  f"event(s) to {cause}; the summary is a lower "
+                  "bound", file=sys.stderr)
         print(render_trace_summary(summary, as_json=False))
     return 0
 

@@ -462,11 +462,17 @@ class _NativeRuntime(ExternalCallHandler):
     # Force collects traces or metrics, each lock round is recorded as
     # wait/hold spans on the acquiring lane, so `force profile` and
     # `force tune` see pipeline-native runs exactly like simulator and
-    # runtime-API runs.
+    # runtime-API runs.  The spans land in the registry only when its
+    # export is asked for: ``stats=True`` alone reports the runtime's
+    # constructs, as it always has.
+    def _lock_metrics(self):
+        force = self.force
+        return force._metrics if force.metrics_enabled else None
+
     def _locked(self, ref, frame: Frame) -> None:
         label = self._label(ref, frame)
         tracer = self.force._tracer
-        metrics = self.force._metrics
+        metrics = self._lock_metrics()
         if tracer is None and metrics is None:
             self.sync.acquire(ref, label)
             return
@@ -485,7 +491,7 @@ class _NativeRuntime(ExternalCallHandler):
     def _unlocked(self, ref, frame: Frame) -> None:
         self.sync.release(ref)
         tracer = self.force._tracer
-        metrics = self.force._metrics
+        metrics = self._lock_metrics()
         if tracer is None and metrics is None:
             return
         key = self.sync.storage_key(ref)

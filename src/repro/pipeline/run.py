@@ -40,6 +40,8 @@ class RunResult:
     memory_plan: SharedRegionPlan | None = None
     #: (time, process, event) triples when run with ``trace=True``
     trace: list[tuple[int, str, str]] = field(default_factory=list)
+    #: trace events past the scheduler's fixed cap, counted not kept
+    trace_dropped: int = 0
     #: program units the compiled execution layer could not handle
     #: (unit name → reason); empty when everything ran compiled
     compile_fallbacks: dict[str, str] = field(default_factory=dict)
@@ -207,6 +209,7 @@ def force_run(translation: TranslationResult, nproc: int, *,
         linker_commands=linker_commands,
         memory_plan=memory_plan,
         trace=scheduler.trace,
+        trace_dropped=scheduler.trace_dropped,
         compile_fallbacks=interp.compile_fallbacks,
         kernel_eligible=interp.kernel_eligible,
         kernelized_doalls=interp.codegen_kernelized,

@@ -17,8 +17,8 @@ the force's :class:`~repro.runtime.cancel.CancelToken`, so a wait for a
 partner that died raises ``ForceCancelled`` instead of hanging (and
 waits revalidate their predicate periodically, so a lost wakeup delays
 a waiter by at most one revalidation slice rather than forever), an
-optional ``on_block`` hook that reports time spent blocked (the stats
-layer's asyncvar blocked-time metric), and an optional
+optional ``on_block`` hook that reports time spent blocked (the
+metrics registry's asyncvar blocked-time histogram), and an optional
 :class:`~repro.trace.collector.TraceCollector` that records every
 blocked ``produce``/``consume``/``copy`` as a complete trace span and
 marks the waiter parked for the stall watchdog.
@@ -83,7 +83,7 @@ class AsyncVariable:
     def _await(self, predicate: Callable[[], bool],
                timeout: float | None, failure: str,
                op: str = "wait") -> None:
-        """Wait (condition held) until predicate; cancel-, stats- and
+        """Wait (condition held) until predicate; cancel-, metrics- and
         trace-aware.  The hooks fire only when the caller actually
         blocked, so a fast-path produce/consume records nothing."""
         if predicate():

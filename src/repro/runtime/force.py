@@ -13,15 +13,17 @@ askfor ``get``, async-variable wait) wake promptly with
 ``ForceCancelled``; :meth:`Force.run` re-raises the *original*
 :class:`ForceProgramError` instead of reporting a join timeout.
 
-Observability: ``Force(nproc, stats=True)`` records per-construct
+Observability: ``Force(nproc, stats=True)`` reports per-construct
 counters and wait times (see :mod:`repro.runtime.stats`), exposed via
-:attr:`Force.stats` / :meth:`Force.stats_report`.  ``Force(nproc,
-trace=True)`` additionally records a structured event stream (see
-:mod:`repro.trace`) — barrier episodes, critical wait/hold spans,
-selfscheduled chunks, askfor traffic, full/empty blocking — exported
-via :meth:`Force.trace_events` to Chrome-trace/JSONL/text; with
-``watchdog_interval=seconds`` a stall watchdog reports which process
-is parked on which construct whenever the stream goes quiet.
+:attr:`Force.stats` / :meth:`Force.stats_report` — a view of the same
+metrics registry ``metrics=True`` exports, so every construct records
+once.  ``Force(nproc, trace=True)`` additionally records a structured
+event stream (see :mod:`repro.trace`) — barrier episodes, critical
+wait/hold spans, selfscheduled chunks, askfor traffic, full/empty
+blocking — exported via :meth:`Force.trace_events` to
+Chrome-trace/JSONL/text; with ``watchdog_interval=seconds`` a stall
+watchdog reports which process is parked on which construct whenever
+the stream goes quiet.
 
 Robustness: ``Force(nproc, construct_timeout=seconds)`` bounds every
 *blocking construct wait* — a process parked longer raises a
@@ -29,7 +31,7 @@ structured :class:`~repro._util.errors.ForceDeadlockError` naming the
 construct (and poisons the force) instead of hanging until the global
 join timeout.  ``Force(nproc, inject=FaultPlan(...))`` arms the
 deterministic fault injector (see :mod:`repro.faults`) at the same
-interception points the stats/trace hooks use; a process killed by an
+interception points the metrics/trace hooks use; a process killed by an
 injected ``die`` fault is detected by askfor/selfsched peers, which
 poison the force with :class:`~repro._util.errors.ForceWorkerDied`
 naming the dead process and the stranded construct.
@@ -41,6 +43,7 @@ import os
 import sys
 import threading
 from contextlib import contextmanager
+from functools import partial
 from time import monotonic
 from typing import Any, Callable, Iterator
 
@@ -77,7 +80,7 @@ from repro.runtime.checkpoint import (
     write_checkpoint,
 )
 from repro.runtime.resolve import Resolve
-from repro.runtime.stats import ForceStats, render_stats
+from repro.runtime.stats import render_stats, stats_from_registry
 from repro.trace.collector import TraceCollector
 from repro.trace.events import TraceEvent
 from repro.trace.watchdog import StallWatchdog
@@ -123,7 +126,7 @@ class _SelfschedLoop:
 
     def __init__(self, nproc: int, *,
                  cancel: CancelToken | None = None,
-                 on_chunk: Callable[[int], None] | None = None,
+                 metrics: ForceMetrics | None = None,
                  tracer: TraceCollector | None = None,
                  injector: FaultInjector | None = None,
                  dead_check: Callable[[], list[int]] | None = None,
@@ -138,7 +141,7 @@ class _SelfschedLoop:
         self._inside = 0
         self._next = 0
         self._cancel = cancel
-        self._on_chunk = on_chunk
+        self._metrics = metrics
         self._tracer = tracer
         self._injector = injector
         self._dead_check = dead_check
@@ -209,8 +212,8 @@ class _SelfschedLoop:
                     if size > remaining:
                         size = remaining
                     self._next = value + size * step
-                if self._on_chunk is not None:
-                    self._on_chunk(size)
+                if self._metrics is not None:
+                    self._metrics.selfsched_chunk(self._label, size)
                 if tracer is not None:
                     tracer.record("selfsched", self._label, "chunk",
                                   index=value, size=size)
@@ -236,29 +239,6 @@ class _SelfschedLoop:
                         self._condition.notify_all()
                 if tracer is not None:
                     tracer.clear_parked()
-
-
-class _ChunkRecorder:
-    """Picklable ``on_chunk`` hook for selfscheduled loops.
-
-    A bound-method/closure pair would drag the whole ``Force`` (and its
-    thread locks) into any pickle of the loop state; this tiny object
-    carries only the stats sink and the label.
-    """
-
-    __slots__ = ("stats", "label", "metrics")
-
-    def __init__(self, stats: ForceStats | None, label: str,
-                 metrics: ForceMetrics | None = None) -> None:
-        self.stats = stats
-        self.label = label
-        self.metrics = metrics
-
-    def __call__(self, size: int) -> None:
-        if self.stats is not None:
-            self.stats.record_selfsched_chunk(self.label, size)
-        if self.metrics is not None:
-            self.metrics.selfsched_chunk(self.label, size)
 
 
 class Force:
@@ -338,10 +318,7 @@ class Force:
         self._cancel = CancelToken(
             construct_timeout=self.construct_timeout,
             revalidate_interval=self.revalidate_interval)
-        self._stats: ForceStats | None = \
-            ForceStats(self.nproc) if self._stats_enabled else None
-        self._metrics: ForceMetrics | None = \
-            ForceMetrics() if self._metrics_enabled else None
+        self._metrics = self._fresh_metrics()
         self._tracer: TraceCollector | None = \
             TraceCollector(self._trace_capacity) \
             if self._trace_enabled else None
@@ -365,6 +342,12 @@ class Force:
             if self._restore_doc is not None else 0
         if self._restore_doc is not None:
             self._apply_restore()
+
+    def _fresh_metrics(self) -> ForceMetrics | None:
+        """The run's one registry: ``stats=True`` reads it as the stats
+        view, ``metrics=True`` exports it."""
+        return ForceMetrics() \
+            if self._stats_enabled or self._metrics_enabled else None
 
     def _apply_restore(self) -> None:
         """Re-materialize the restore snapshot into this run's state.
@@ -685,9 +668,8 @@ class Force:
         if injector is not None:
             injector.fire("barrier.entry", "barrier", me)
         hook = self._episode_hook()
-        stats, tracer = self._stats, self._tracer
-        metrics = self._metrics
-        if stats is None and tracer is None and metrics is None:
+        tracer, metrics = self._tracer, self._metrics
+        if tracer is None and metrics is None:
             released = self._barrier.wait(me) if hook is None \
                 else self._run_episode(me, hook)
             if injector is not None and released:
@@ -705,10 +687,6 @@ class Force:
                           ts=tracer.now() - waited, dur=waited)
             if released:
                 tracer.record("barrier", "barrier", "episode")
-        if stats is not None:
-            stats.record_barrier_wait(waited)
-            if released:
-                stats.record_barrier_episode()
         if metrics is not None:
             metrics.barrier(waited, released)
         if injector is not None and released:
@@ -722,15 +700,12 @@ class Force:
         if injector is not None:
             injector.fire("barrier.entry", "barrier", me)
         hook = self._episode_hook(section)
-        stats, tracer = self._stats, self._tracer
-        metrics = self._metrics
-        if stats is None and tracer is None and metrics is None:
+        tracer, metrics = self._tracer, self._metrics
+        if tracer is None and metrics is None:
             self._barrier.run_section(me, hook)
             return
 
         def counted() -> None:
-            if stats is not None:
-                stats.record_barrier_episode()
             if metrics is not None:
                 metrics.barrier_episode()
             if tracer is not None:
@@ -746,8 +721,6 @@ class Force:
             tracer.clear_parked()
             tracer.record("barrier", "barrier", "wait", phase="X",
                           ts=tracer.now() - waited, dur=waited)
-        if stats is not None:
-            stats.record_barrier_wait(waited)
         if metrics is not None:
             metrics.barrier_wait(waited)
 
@@ -764,8 +737,7 @@ class Force:
             if lock is None:
                 lock = threading.Lock()
                 self._criticals[name] = lock
-        stats, tracer = self._stats, self._tracer
-        metrics = self._metrics
+        tracer, metrics = self._tracer, self._metrics
         injector = self._injector
         if injector is not None:
             injector.fire("critical.acquire", name)
@@ -783,8 +755,6 @@ class Force:
                 tracer.clear_parked()
         held_from = monotonic() if timed else 0.0
         try:
-            if stats is not None:
-                stats.record_critical(name, waited, contended)
             if injector is not None:
                 # Lock held: a delay here is a slow holder, a raise
                 # kills the holder (the lock is released on unwind).
@@ -851,12 +821,8 @@ class Force:
         with self._registry_lock:
             loop = self._loops.get(label)
             if loop is None:
-                on_chunk = None
-                if self._stats is not None or self._metrics is not None:
-                    on_chunk = _ChunkRecorder(self._stats, label,
-                                              self._metrics)
                 loop = _SelfschedLoop(self.nproc, cancel=self._cancel,
-                                      on_chunk=on_chunk,
+                                      metrics=self._metrics,
                                       tracer=self._tracer,
                                       injector=self._injector,
                                       dead_check=self._dead_workers,
@@ -939,16 +905,9 @@ class Force:
                                      name=name))
 
     def _asyncvar_hook(self, name: str) -> Callable[[float], None] | None:
-        stats, metrics = self._stats, self._metrics
-        if stats is None and metrics is None:
-            return None
-
-        def hook(seconds: float) -> None:
-            if stats is not None:
-                stats.record_asyncvar_block(name, seconds)
-            if metrics is not None:
-                metrics.asyncvar_block(name, seconds)
-        return hook
+        metrics = self._metrics
+        return None if metrics is None \
+            else partial(metrics.asyncvar_block, name)
 
     def _get_shared(self, name: str, factory: Callable[[], Any]) -> Any:
         with self._registry_lock:
@@ -1005,19 +964,24 @@ class Force:
                 "trace collection is off; create Force(..., trace=True)")
         return self._tracer.events()
 
-    @property
-    def stats(self) -> dict[str, Any] | None:
-        """Snapshot of collected stats (None unless ``stats=True``)."""
-        if self._stats is None:
-            return None
+    def _settled_registry(self) -> MetricsRegistry:
+        """The run's registry with the askfor gauges sampled (pools
+        only know their totals after the run)."""
         with self._registry_lock:
             pools = [(name, obj) for name, obj in self._shared.items()
                      if isinstance(obj, AskforMonitor)]
         for name, pool in pools:
-            self._stats.record_askfor(name, total_put=pool.total_put,
-                                      total_got=pool.total_got,
-                                      max_depth=pool.max_depth)
-        return self._stats.as_dict()
+            self._metrics.askfor(name, total_put=pool.total_put,
+                                 total_got=pool.total_got,
+                                 max_depth=pool.max_depth)
+        return self._metrics.registry
+
+    @property
+    def stats(self) -> dict[str, Any] | None:
+        """Snapshot of collected stats (None unless ``stats=True``)."""
+        if not self._stats_enabled:
+            return None
+        return stats_from_registry(self._settled_registry(), self.nproc)
 
     def stats_report(self) -> str:
         """Human-readable rendering of :attr:`stats`."""
@@ -1031,19 +995,12 @@ class Force:
                          wall_s: float | None = None) -> MetricsRegistry:
         """The run's metrics registry, with end-of-run gauges settled.
 
-        Askfor pool gauges are sampled here (pools only know their
-        totals after the run), and ``wall_s`` — when the caller timed
-        the run — lands as ``force_run_wall_seconds``.
+        Askfor pool gauges are sampled here, and ``wall_s`` — when the
+        caller timed the run — lands as ``force_run_wall_seconds``.
         """
-        if self._metrics is None:
+        if not self._metrics_enabled:
             raise ForceError(
                 "metrics collection is off; create Force(..., metrics=True)")
-        with self._registry_lock:
-            pools = [(name, obj) for name, obj in self._shared.items()
-                     if isinstance(obj, AskforMonitor)]
-        for name, pool in pools:
-            self._metrics.askfor(name, total_put=pool.total_put,
-                                 total_got=pool.total_got,
-                                 max_depth=pool.max_depth)
+        registry = self._settled_registry()
         self._metrics.run_info(self.nproc, wall_s=wall_s)
-        return self._metrics.registry
+        return registry

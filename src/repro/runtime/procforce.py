@@ -23,7 +23,8 @@ The public API is the thread backend's, unchanged:
   original error;
 * ``construct_timeout`` bounds every blocking wait with a structured
   :class:`~repro._util.errors.ForceDeadlockError`;
-* stats and traces are collected per worker and merged in the parent;
+* metrics (which the stats view reads) and traces are collected per
+  worker and merged in the parent;
 * fault-injection sites fire at the same (site, name, occurrence)
   coordinates — hit counters live in the arena so the n-th occurrence
   is global across processes, exactly as the thread backend counts
@@ -77,8 +78,7 @@ from repro.runtime.checkpoint import (
     decode_array,
 )
 from repro.runtime.force import Force, ForceProgramError
-from repro.obsv.metrics import ForceMetrics, MetricsRegistry
-from repro.runtime.stats import ForceStats
+from repro.obsv.metrics import ForceMetrics
 from repro.trace.collector import TraceCollector
 from repro.trace.events import TraceEvent
 
@@ -209,15 +209,12 @@ class _ShmAsyncVariable:
 
     def _await(self, predicate: Callable[[], bool],
                timeout: float | None, failure: str, op: str) -> None:
-        """Wait (bus held) until predicate; cancel/stats/trace aware."""
+        """Wait (bus held) until predicate; cancel/metrics/trace aware."""
         if predicate():
             return
         force = self._force
-        tracer = force._tracer
-        stats = force._stats
-        metrics = force._metrics
-        observed = stats is not None or tracer is not None \
-            or metrics is not None
+        tracer, metrics = force._tracer, force._metrics
+        observed = tracer is not None or metrics is not None
         started = monotonic() if observed else 0.0
         if tracer is not None:
             tracer.mark_parked("asyncvar", self._name)
@@ -233,9 +230,6 @@ class _ShmAsyncVariable:
                 waited = monotonic() - started
                 tracer.record("asyncvar", self._name, op, phase="X",
                               ts=tracer.now() - waited, dur=waited)
-            if stats is not None:
-                stats.record_asyncvar_block(self._name,
-                                            monotonic() - started)
             if metrics is not None:
                 metrics.asyncvar_block(self._name,
                                        monotonic() - started)
@@ -496,9 +490,7 @@ class _ShmSelfschedLoop:
             raise ForceError("selfsched step must be nonzero")
         force = self._force
         record = self._record
-        tracer = force._tracer
-        stats = force._stats
-        metrics = force._metrics
+        tracer, metrics = force._tracer, force._metrics
         nproc = force.nproc
         if tracer is not None:
             tracer.mark_parked("selfsched", self._label)
@@ -535,8 +527,6 @@ class _ShmSelfschedLoop:
                     if size > remaining:
                         size = remaining
                     record[_SL_NEXT] = value + size * step
-                if stats is not None:
-                    stats.record_selfsched_chunk(self._label, size)
                 if metrics is not None:
                     metrics.selfsched_chunk(self._label, size)
                 if tracer is not None:
@@ -600,7 +590,6 @@ class ProcessForce(Force):
         self._proc_me: int | None = None
         self._merged_events: list[TraceEvent] = []
         self._merged_injected: list = []
-        self._merged_metrics: MetricsRegistry | None = None
         self._merged_dropped = 0
         #: events recorded parent-side (e.g. the restore instant);
         #: merged with the workers' streams in _absorb
@@ -1003,9 +992,8 @@ class ProcessForce(Force):
         injector = self._injector
         if injector is not None:
             injector.fire("barrier.entry", "barrier", me)
-        stats, tracer = self._stats, self._tracer
-        metrics = self._metrics
-        if stats is None and tracer is None and metrics is None:
+        tracer, metrics = self._tracer, self._metrics
+        if tracer is None and metrics is None:
             released = self._barrier_arrive(None)
             if injector is not None and released:
                 injector.fire("barrier.episode", "barrier", me)
@@ -1021,10 +1009,6 @@ class ProcessForce(Force):
                           ts=tracer.now() - waited, dur=waited)
             if released:
                 tracer.record("barrier", "barrier", "episode")
-        if stats is not None:
-            stats.record_barrier_wait(waited)
-            if released:
-                stats.record_barrier_episode()
         if metrics is not None:
             metrics.barrier(waited, released)
         if injector is not None and released:
@@ -1036,15 +1020,12 @@ class ProcessForce(Force):
         injector = self._injector
         if injector is not None:
             injector.fire("barrier.entry", "barrier", me)
-        stats, tracer = self._stats, self._tracer
-        metrics = self._metrics
-        if stats is None and tracer is None and metrics is None:
+        tracer, metrics = self._tracer, self._metrics
+        if tracer is None and metrics is None:
             self._barrier_arrive(section)
             return
 
         def counted() -> None:
-            if stats is not None:
-                stats.record_barrier_episode()
             if tracer is not None:
                 tracer.record("barrier", "barrier", "episode")
             if metrics is not None:
@@ -1060,8 +1041,6 @@ class ProcessForce(Force):
             tracer.clear_parked()
             tracer.record("barrier", "barrier", "wait", phase="X",
                           ts=tracer.now() - waited, dur=waited)
-        if stats is not None:
-            stats.record_barrier_wait(waited)
         if metrics is not None:
             metrics.barrier_wait(waited)
 
@@ -1075,8 +1054,7 @@ class ProcessForce(Force):
     def critical(self, name: str = "default"):
         """Named critical section over a shared lock word."""
         cell = self._critical_cell(name)
-        stats, tracer = self._stats, self._tracer
-        metrics = self._metrics
+        tracer, metrics = self._tracer, self._metrics
         injector = self._injector
         if injector is not None:
             injector.fire("critical.acquire", name)
@@ -1098,8 +1076,6 @@ class ProcessForce(Force):
             cell[0] = 1
         held_from = monotonic() if timed else 0.0
         try:
-            if stats is not None:
-                stats.record_critical(name, waited, contended)
             if injector is not None:
                 injector.fire("critical.hold", name)
             yield
@@ -1386,37 +1362,22 @@ class ProcessForce(Force):
                 return
 
     def _absorb(self, payloads: list) -> None:
-        """Merge worker stats/trace/injection payloads in the parent."""
-        if self._stats_enabled:
-            merged = ForceStats(self.nproc)
-            for payload in payloads:
-                stats_dict = payload[1]
-                if stats_dict:
-                    merged.merge(ForceStats.from_dict(stats_dict))
-            for key, offset in self._registry_entries(_K_ASKFOR):
-                ctrl = self._arena.view(offset, _AF_CTRL)
-                merged.record_askfor(
-                    key[2:],    # strip the "s:" namespace prefix
-                    total_put=int(ctrl[_AF_PUT]),
-                    total_got=int(ctrl[_AF_GOT]),
-                    max_depth=int(ctrl[_AF_DEPTH]))
-            self._stats = merged
-        if self._metrics_enabled:
+        """Merge worker metrics/trace/injection payloads in the parent."""
+        if self._metrics is not None:
             facade = ForceMetrics()
             for payload in payloads:
-                metrics_doc = payload[4]
-                if metrics_doc:
-                    facade.registry.load_dict(metrics_doc)
+                if payload[1] is not None:
+                    facade.registry.merge(payload[1])
             # Askfor gauges live in the arena (every worker sees the
             # same totals); settle them once, parent-side.
             for key, offset in self._registry_entries(_K_ASKFOR):
                 ctrl = self._arena.view(offset, _AF_CTRL)
-                facade.askfor(key[2:],
+                facade.askfor(key[2:],    # strip the "s:" prefix
                               total_put=int(ctrl[_AF_PUT]),
                               total_got=int(ctrl[_AF_GOT]),
                               max_depth=int(ctrl[_AF_DEPTH]))
-            self._merged_metrics = facade.registry
-        self._merged_dropped = sum(payload[5] for payload in payloads)
+            self._metrics = facade
+        self._merged_dropped = sum(payload[4] for payload in payloads)
         events: list[TraceEvent] = list(self._parent_events)
         injected: list = []
         for payload in sorted(payloads, key=lambda p: p[0]):
@@ -1439,13 +1400,10 @@ class ProcessForce(Force):
         self._shared = {}
         self._criticals = {}
         self._loops = {}
-        self._stats = ForceStats(self.nproc) \
-            if self._stats_enabled else None
         self._tracer = TraceCollector(self._trace_capacity,
                                       epoch=self._trace_epoch) \
             if self._trace_enabled else None
-        self._metrics = ForceMetrics() if self._metrics_enabled \
-            else None
+        self._metrics = self._fresh_metrics()
         self._injector = None
         if self._fault_plan is not None:
             self._injector = _SharedHitInjector(
@@ -1482,20 +1440,18 @@ class ProcessForce(Force):
 
     def _ship(self, me: int) -> None:
         """Send this worker's observability payload to the parent."""
-        stats_dict = self._stats.as_dict() \
-            if self._stats is not None else None
+        registry = self._metrics.registry \
+            if self._metrics is not None else None
         event_dicts = [event.as_dict()
                        for event in self._tracer.events()] \
             if self._tracer is not None else None
         dropped = self._tracer.dropped \
             if self._tracer is not None else 0
-        metrics_doc = self._metrics.registry.as_dict() \
-            if self._metrics is not None else None
         records = list(self._injector.injected) \
             if self._injector is not None else []
         try:
-            self._queue.put((me, stats_dict, event_dicts, records,
-                             metrics_doc, dropped))
+            self._queue.put((me, registry, event_dicts, records,
+                             dropped))
             self._queue.close()
             self._queue.join_thread()
         except Exception:       # pragma: no cover - queue torn down
@@ -1506,12 +1462,6 @@ class ProcessForce(Force):
     # ------------------------------------------------------------------
     # observability (parent side)
     # ------------------------------------------------------------------
-    @property
-    def stats(self) -> dict[str, Any] | None:
-        if self._stats is None:
-            return None
-        return self._stats.as_dict()
-
     def trace_events(self) -> list[TraceEvent]:
         if not self._trace_enabled:
             raise ForceError(
@@ -1522,19 +1472,6 @@ class ProcessForce(Force):
     @property
     def trace_dropped(self) -> int:
         return self._merged_dropped
-
-    def metrics_registry(self, *,
-                         wall_s: float | None = None) -> MetricsRegistry:
-        if not self._metrics_enabled:
-            raise ForceError(
-                "metrics collection is off; create Force(..., "
-                "metrics=True)")
-        registry = self._merged_metrics
-        if registry is None:        # run() never happened
-            registry = MetricsRegistry()
-            self._merged_metrics = registry
-        ForceMetrics(registry).run_info(self.nproc, wall_s=wall_s)
-        return registry
 
     def injected_faults(self):
         return list(self._merged_injected)

@@ -1,9 +1,8 @@
-"""Runtime instrumentation for the native Force (opt-in).
+"""Runtime statistics for the native Force (opt-in).
 
-``Force(nproc, stats=True)`` threads a :class:`ForceStats` collector
-through the same interception points the cancellation layer uses, in
-the spirit of the barrier/lock cost methodology of Mellor-Crummey &
-Scott: per-construct counters and wait-time accumulators —
+``Force(nproc, stats=True)`` reports per-construct counters and wait
+times, in the spirit of the barrier/lock cost methodology of
+Mellor-Crummey & Scott:
 
 * barrier episodes completed, per-process wait times and their spread;
 * critical-section acquisitions and contention per section name;
@@ -11,16 +10,38 @@ Scott: per-construct counters and wait-time accumulators —
 * Askfor pool traffic (``total_put``/``total_got``/max queue depth);
 * asynchronous-variable blocked events and blocked time per name.
 
-The collector is a plain dict away (:meth:`ForceStats.as_dict`) and
-rendered by :func:`render_stats`, which the ``force run --stats`` CLI
-shares with compiled-program simulation statistics so both execution
-paths report through one format.
+There is no separate collector: the interception points record into
+the run's one :class:`~repro.obsv.metrics.ForceMetrics` registry
+(which exists whenever ``stats=True`` or ``metrics=True``), and
+:func:`stats_from_registry` derives the stats dict from it when read —
+counters give the counts, histogram count/sum/min/max give the wait
+sections.  :func:`render_stats` renders that dict; the ``force run
+--stats`` CLI shares it with compiled-program simulation statistics so
+both execution paths report through one format.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any
+
+from repro.obsv.metrics import MetricsRegistry
+
+
+def wait_dict(count: int, total: float, low: float,
+              high: float) -> dict[str, float]:
+    """The count/total/mean/min/max/spread section of a wait time.
+
+    ``count == 0`` reports zeros, never a collector's +inf ``min``
+    sentinel.
+    """
+    return {
+        "count": count,
+        "total_s": total,
+        "mean_s": total / count if count else 0.0,
+        "min_s": low if count else 0.0,
+        "max_s": high if count else 0.0,
+        "spread_s": (high - low) if count else 0.0,
+    }
 
 
 class WaitStat:
@@ -42,228 +63,69 @@ class WaitStat:
         if seconds > self.max:
             self.max = seconds
 
-    def merge(self, other: "WaitStat") -> None:
-        """Fold another collector's stat into this one.
-
-        An empty ``other`` (``count == 0``) contributes nothing — its
-        sentinel ``min`` of +inf and ``max`` of 0.0 must not leak into
-        the merged extremes.
-        """
-        if other.count == 0:
-            return
-        self.count += other.count
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-
     def as_dict(self) -> dict[str, float]:
-        # count == 0 (never recorded, or merged only from empty
-        # collectors) reports zeros, never the +inf min sentinel.
-        return {
-            "count": self.count,
-            "total_s": self.total,
-            "mean_s": self.total / self.count if self.count else 0.0,
-            "min_s": self.min if self.count else 0.0,
-            "max_s": self.max if self.count else 0.0,
-            "spread_s": (self.max - self.min) if self.count else 0.0,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, float]) -> "WaitStat":
-        stat = cls()
-        stat.count = int(data.get("count", 0))
-        stat.total = float(data.get("total_s", 0.0))
-        if stat.count:
-            stat.min = float(data.get("min_s", 0.0))
-            stat.max = float(data.get("max_s", 0.0))
-        return stat
+        return wait_dict(self.count, self.total, self.min, self.max)
 
 
-class ForceStats:
-    """Per-construct counters for one :class:`Force`.
+def stats_from_registry(registry: MetricsRegistry,
+                        nproc: int) -> dict[str, Any]:
+    """The stats dict of a run, derived from its metrics registry.
 
-    All record methods are thread-safe; the runtime only calls them
-    when stats collection is enabled, so the ``stats=False`` path pays
-    a single ``is None`` test per interception point.
+    Pure: reads the ``force_*`` families a
+    :class:`~repro.obsv.metrics.ForceMetrics` records and changes
+    nothing.  An absent family yields the zero section an idle
+    construct reports.
     """
+    def by(family: str) -> dict[str, Any]:
+        # every runtime family carries exactly one label (or none)
+        return {labels[0][1] if labels else "": metric
+                for labels, metric in registry.family(family).items()}
 
-    def __init__(self, nproc: int) -> None:
-        self.nproc = nproc
-        self._lock = threading.Lock()
-        self.barrier_episodes = 0
-        self.barrier_wait = WaitStat()
-        self.criticals: dict[str, dict[str, Any]] = {}
-        self.selfsched_chunks: dict[str, dict[str, int]] = {}
-        self.askfor: dict[str, dict[str, int]] = {}
-        self.asyncvar: dict[str, WaitStat] = {}
+    def count(metric: Any) -> int:
+        return int(metric.value) if metric is not None else 0
 
-    # -- barriers ------------------------------------------------------
-    def record_barrier_wait(self, seconds: float) -> None:
-        with self._lock:
-            self.barrier_wait.record(seconds)
+    def wait(hist: Any) -> dict[str, float]:
+        if hist is None:
+            return wait_dict(0, 0.0, 0.0, 0.0)
+        return wait_dict(hist.count, hist.sum, hist.min, hist.max)
 
-    def record_barrier_episode(self) -> None:
-        with self._lock:
-            self.barrier_episodes += 1
-
-    # -- critical sections ---------------------------------------------
-    def record_critical(self, name: str, waited: float,
-                        contended: bool) -> None:
-        with self._lock:
-            entry = self.criticals.get(name)
-            if entry is None:
-                entry = {"acquisitions": 0, "contended": 0,
-                         "wait": WaitStat()}
-                self.criticals[name] = entry
-            entry["acquisitions"] += 1
-            if contended:
-                entry["contended"] += 1
-                entry["wait"].record(waited)
-
-    # -- selfscheduled loops -------------------------------------------
-    def record_selfsched_chunk(self, label: str, size: int = 1) -> None:
-        """One chunk dispatch of ``size`` indices.
-
-        A chunk costs one critical-section acquisition regardless of
-        its size, so ``chunks`` counts lock traffic while ``indices``
-        counts work handed out — the ratio is the dispatch granularity.
-        """
-        with self._lock:
-            entry = self.selfsched_chunks.get(label)
-            if entry is None:
-                entry = {"chunks": 0, "indices": 0, "max_chunk": 0}
-                self.selfsched_chunks[label] = entry
-            entry["chunks"] += 1
-            entry["indices"] += size
-            if size > entry["max_chunk"]:
-                entry["max_chunk"] = size
-
-    # -- askfor pools --------------------------------------------------
-    def record_askfor(self, name: str, *, total_put: int, total_got: int,
-                      max_depth: int) -> None:
-        with self._lock:
-            self.askfor[name] = {"total_put": total_put,
-                                 "total_got": total_got,
-                                 "max_depth": max_depth}
-
-    # -- asynchronous variables ----------------------------------------
-    def record_asyncvar_block(self, name: str, seconds: float) -> None:
-        with self._lock:
-            stat = self.asyncvar.get(name)
-            if stat is None:
-                stat = WaitStat()
-                self.asyncvar[name] = stat
-            stat.record(seconds)
-
-    # -- pickling ------------------------------------------------------
-    # The process backend ships each worker's collector back to the
-    # parent for merging; a threading.Lock cannot cross that boundary.
-    def __getstate__(self) -> dict[str, Any]:
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ForceStats":
-        """Rebuild a collector from :meth:`as_dict` output."""
-        stats = cls(int(data.get("nproc", 1)))
-        barriers = data.get("barriers") or {}
-        stats.barrier_episodes = int(barriers.get("episodes", 0))
-        if barriers.get("wait"):
-            stats.barrier_wait = WaitStat.from_dict(barriers["wait"])
-        for name, entry in (data.get("criticals") or {}).items():
-            stats.criticals[name] = {
-                "acquisitions": int(entry["acquisitions"]),
-                "contended": int(entry["contended"]),
-                "wait": WaitStat.from_dict(entry["wait"]),
-            }
-        for label, entry in (data.get("selfsched") or {}).items():
-            stats.selfsched_chunks[label] = dict(entry)
-        for name, entry in (data.get("askfor") or {}).items():
-            stats.askfor[name] = dict(entry)
-        for name, entry in (data.get("asyncvar") or {}).items():
-            stats.asyncvar[name] = WaitStat.from_dict(entry)
-        return stats
-
-    # -- merging -------------------------------------------------------
-    def merge(self, other: "ForceStats") -> None:
-        """Fold another collector into this one (multi-run reports).
-
-        Wait statistics merge through :meth:`WaitStat.merge`, so empty
-        sections on either side never poison min/max extremes.
-        """
-        with self._lock:
-            self.barrier_episodes += other.barrier_episodes
-            self.barrier_wait.merge(other.barrier_wait)
-            for name, entry in other.criticals.items():
-                mine = self.criticals.get(name)
-                if mine is None:
-                    mine = {"acquisitions": 0, "contended": 0,
-                            "wait": WaitStat()}
-                    self.criticals[name] = mine
-                mine["acquisitions"] += entry["acquisitions"]
-                mine["contended"] += entry["contended"]
-                mine["wait"].merge(entry["wait"])
-            for label, entry in other.selfsched_chunks.items():
-                mine = self.selfsched_chunks.get(label)
-                if mine is None:
-                    mine = {"chunks": 0, "indices": 0, "max_chunk": 0}
-                    self.selfsched_chunks[label] = mine
-                mine["chunks"] += entry["chunks"]
-                mine["indices"] += entry["indices"]
-                mine["max_chunk"] = max(mine["max_chunk"],
-                                        entry["max_chunk"])
-            for name, entry in other.askfor.items():
-                mine = self.askfor.get(name)
-                if mine is None:
-                    self.askfor[name] = dict(entry)
-                else:
-                    mine["total_put"] += entry["total_put"]
-                    mine["total_got"] += entry["total_got"]
-                    mine["max_depth"] = max(mine["max_depth"],
-                                            entry["max_depth"])
-            for name, stat in other.asyncvar.items():
-                mine = self.asyncvar.get(name)
-                if mine is None:
-                    mine = WaitStat()
-                    self.asyncvar[name] = mine
-                mine.merge(stat)
-
-    # -- export --------------------------------------------------------
-    def as_dict(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "nproc": self.nproc,
-                "barriers": {
-                    "episodes": self.barrier_episodes,
-                    "wait": self.barrier_wait.as_dict(),
-                },
-                "criticals": {
-                    name: {
-                        "acquisitions": entry["acquisitions"],
-                        "contended": entry["contended"],
-                        "wait": entry["wait"].as_dict(),
-                    }
-                    for name, entry in sorted(self.criticals.items())
-                },
-                "selfsched": {label: dict(entry)
-                              for label, entry in
-                              sorted(self.selfsched_chunks.items())},
-                "askfor": {name: dict(v)
-                           for name, v in sorted(self.askfor.items())},
-                "asyncvar": {name: stat.as_dict()
-                             for name, stat in
-                             sorted(self.asyncvar.items())},
-            }
-
-    def render(self) -> str:
-        return render_stats(self.as_dict())
+    contended = by("critical_contended_total")
+    critical_wait = by("critical_wait_seconds")
+    indices = by("selfsched_indices_total")
+    max_chunk = by("selfsched_chunk_max")
+    got = by("askfor_got_total")
+    depth = by("askfor_depth_max")
+    return {
+        "nproc": nproc,
+        "barriers": {
+            "episodes": count(by("barrier_episodes_total").get("")),
+            "wait": wait(by("barrier_wait_seconds").get("")),
+        },
+        "criticals": {
+            name: {"acquisitions": count(acquired),
+                   "contended": count(contended.get(name)),
+                   "wait": wait(critical_wait.get(name))}
+            for name, acquired in
+            sorted(by("critical_acquisitions_total").items())
+        },
+        "selfsched": {
+            label: {"chunks": count(chunks),
+                    "indices": count(indices.get(label)),
+                    "max_chunk": count(max_chunk.get(label))}
+            for label, chunks in
+            sorted(by("selfsched_chunks_total").items())
+        },
+        "askfor": {
+            pool: {"total_put": count(put),
+                   "total_got": count(got.get(pool)),
+                   "max_depth": count(depth.get(pool))}
+            for pool, put in sorted(by("askfor_put_total").items())
+        },
+        "asyncvar": {
+            name: wait(hist) for name, hist in
+            sorted(by("asyncvar_blocked_seconds").items())
+        },
+    }
 
 
 def _fmt_s(seconds: float) -> str:
@@ -276,7 +138,7 @@ def render_stats(stats: dict[str, Any]) -> str:
     """Render a stats dict (native runtime and/or simulator sections).
 
     Understands the native sections produced by
-    :meth:`ForceStats.as_dict` and a ``sim`` section produced by the
+    :func:`stats_from_registry` and a ``sim`` section produced by the
     pipeline (see :func:`repro.pipeline.run.sim_stats_dict`); unknown
     or absent sections are simply skipped, so both execution paths
     share this one renderer.
@@ -314,9 +176,9 @@ def render_stats(stats: dict[str, Any]) -> str:
                      f"max {_fmt_s(wait['max_s'])}, "
                      f"spread {_fmt_s(wait['spread_s'])})")
 
-    # Per-name sections are sorted here, not only in as_dict(): a
-    # stats dict merged from several collectors (or loaded back from
-    # JSON) renders in the same stable order regardless of insertion.
+    # Per-name sections are sorted here too: a stats dict loaded back
+    # from JSON renders in the same stable order regardless of
+    # insertion.
     criticals = stats.get("criticals")
     if criticals:
         lines.append("--- critical sections ---")
@@ -331,11 +193,6 @@ def render_stats(stats: dict[str, Any]) -> str:
     if selfsched:
         lines.append("--- selfscheduled loops ---")
         for label, entry in sorted(selfsched.items()):
-            if isinstance(entry, int):
-                # pre-chunking stats dicts loaded back from JSON
-                lines.append(
-                    f"{label:18s} {entry:>8d} chunks dispatched")
-                continue
             lines.append(
                 f"{label:18s} {entry['chunks']:>8d} chunks, "
                 f"{entry['indices']:>8d} indices "

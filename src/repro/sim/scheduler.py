@@ -36,6 +36,10 @@ from repro.sim.events import (
 )
 from repro.sim.lock import SimLock
 
+#: most trace events one simulated run keeps; later ones are counted
+#: in :attr:`Scheduler.trace_dropped`, not stored
+TRACE_CAP = 100_000
+
 
 class ProcState(Enum):
     READY = "ready"
@@ -126,6 +130,8 @@ class Scheduler:
         self.deadline = deadline
         self.trace_enabled = trace
         self.trace: list[tuple[int, str, str]] = []
+        #: events past :data:`TRACE_CAP`, counted instead of kept
+        self.trace_dropped = 0
         self.stats = SimStats()
         self._heap: list[tuple[int, int, SimProcess]] = []
         self._seq = count()
@@ -414,8 +420,11 @@ class Scheduler:
             heapq.heappush(self._heap, (proc.clock, next(self._seq), proc))
 
     def _trace(self, proc: SimProcess, what: str) -> None:
-        if self.trace_enabled and len(self.trace) < 100_000:
-            self.trace.append((proc.clock, proc.name, what))
+        if self.trace_enabled:
+            if len(self.trace) < TRACE_CAP:
+                self.trace.append((proc.clock, proc.name, what))
+            else:
+                self.trace_dropped += 1
 
     def _describe_blocker(self, proc: SimProcess) -> str:
         blocker = proc.blocked_on

@@ -9,7 +9,7 @@ exporters, summaries and diagnostics serves both:
 * :class:`TraceCollector` — bounded per-process ring buffers, written
   lock-free by the owning thread; negligible overhead when absent
   (every interception point pays a single ``is None`` test, exactly
-  like the stats layer);
+  like the metrics registry);
 * :mod:`repro.trace.export` — Chrome trace-event JSON (open the file
   in Perfetto or ``chrome://tracing``), JSONL, and the classic text
   timeline, all rendered from the one event model;

@@ -4,7 +4,7 @@ Design constraints, in order:
 
 1. **Zero cost when off** — a disabled Force keeps no collector at
    all; every interception point pays one ``is None`` test (the same
-   contract as :mod:`repro.runtime.stats`).
+   contract as the metrics registry, :mod:`repro.obsv.metrics`).
 2. **Cheap when on** — each Force process appends to its *own* ring
    buffer, so the hot path takes no lock: one list store, two integer
    bumps and a clock read.  CPython's per-opcode atomicity makes the

@@ -27,10 +27,6 @@ from repro.runtime.stats import WaitStat
 from repro.trace.events import TraceEvent
 
 
-def _stat_dict(stat: WaitStat) -> dict[str, float]:
-    return stat.as_dict()
-
-
 def summarize_events(events: list[TraceEvent]) -> dict[str, Any]:
     """Reduce an event stream to per-construct summaries."""
     lanes = sorted({e.proc for e in events})
@@ -93,14 +89,14 @@ def summarize_events(events: list[TraceEvent]) -> dict[str, Any]:
         "barriers": {
             "episodes": episodes,
             "waits": barrier_waits_seen,
-            "wait": _stat_dict(barrier_wait),
+            "wait": barrier_wait.as_dict(),
         },
         "criticals": {
             name: {
                 "acquisitions": entry["acquisitions"],
                 "contended": entry["contended"],
-                "wait": _stat_dict(entry["wait"]),
-                "hold": _stat_dict(entry["hold"]),
+                "wait": entry["wait"].as_dict(),
+                "hold": entry["hold"].as_dict(),
             }
             for name, entry in sorted(criticals.items())
         },
@@ -112,13 +108,13 @@ def summarize_events(events: list[TraceEvent]) -> dict[str, Any]:
         },
         "askfor": {
             name: {"put": entry["put"], "got": entry["got"],
-                   "wait": _stat_dict(entry["wait"])}
+                   "wait": entry["wait"].as_dict()}
             for name, entry in sorted(askfor.items())
         },
         "asyncvar": {
             name: {"blocked": entry["blocked"],
                    "by_op": dict(sorted(entry["by_op"].items())),
-                   "wait": _stat_dict(entry["wait"])}
+                   "wait": entry["wait"].as_dict()}
             for name, entry in sorted(asyncvar.items())
         },
     }

@@ -80,6 +80,20 @@ class TestHistogram:
         assert a.count == 2
         assert a.max == 1e-2
 
+    def test_rebucketing_merge_keeps_exact_extremes(self):
+        # Differing bounds merge through the reservoir, which has
+        # decimated b's single minimum away; min/max must still be
+        # exact because the stats view reports them as min_s/max_s.
+        a = Histogram(buckets=(1.0, 10.0))
+        b = Histogram(buckets=(0.5, 5.0, 50.0), reservoir=8)
+        for index in range(100):
+            b.observe(0.5 if index == 1 else 3.0)
+        assert 0.5 not in b.reservoir
+        a.merge(b)
+        assert a.min == 0.5
+        assert a.max == 3.0
+        assert a.count == 100
+
 
 class TestRegistry:
     def test_labels_key_separate_series(self):

@@ -510,6 +510,59 @@ class TestTraceBufferDrops:
         assert "dropped" not in captured.err
 
 
+class TestSimTraceCap:
+    """The simulator's trace stops at a fixed cap and says so."""
+
+    @pytest.fixture()
+    def tiny_cap(self, monkeypatch):
+        import repro.sim.scheduler as scheduler
+        monkeypatch.setattr(scheduler, "TRACE_CAP", 10)
+
+    def test_run_result_counts_drops(self, source_file, tiny_cap):
+        from repro.machines import get_machine
+        from repro.pipeline.compile import force_translate
+        from repro.pipeline.run import force_run
+
+        with open(source_file, encoding="utf-8") as handle:
+            source = handle.read()
+        translation = force_translate(source, get_machine("hep"))
+        result = force_run(translation, 2, trace=True)
+        assert len(result.trace) == 10
+        assert result.trace_dropped > 0
+        untraced = force_run(translation, 2)
+        assert untraced.trace == [] and untraced.trace_dropped == 0
+
+    def test_cli_warns_and_records_drops(self, source_file, tmp_path,
+                                         tiny_cap, capsys):
+        import json
+        from repro.trace.export import load_trace_document
+
+        trace = tmp_path / "sim.jsonl"
+        assert main(["run", source_file, "--nproc", "2", "--trace",
+                     str(trace), "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        dropped = json.loads(captured.out)["dropped_events"]
+        assert dropped > 0
+        assert f"{dropped} trace event(s) dropped" in captured.err
+        assert "at most 10 events" in captured.err
+        assert "--trace-buffer" not in captured.err
+        _events, meta = load_trace_document(str(trace))
+        assert meta["dropped_events"] == dropped
+        assert main(["trace", str(trace)]) == 0
+        err = capsys.readouterr().err
+        assert "simulator's fixed trace cap" in err
+
+    def test_uncapped_sim_run_reports_zero(self, source_file, tmp_path,
+                                           capsys):
+        import json
+        assert main(["run", source_file, "--nproc", "2", "--trace",
+                     str(tmp_path / "sim.jsonl"), "--format",
+                     "json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["dropped_events"] == 0
+        assert "dropped" not in captured.err
+
+
 class TestSupervisedRunFlags:
     """`force run --checkpoint/--resume/--retries/--min-nproc`."""
 

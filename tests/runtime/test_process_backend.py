@@ -315,12 +315,13 @@ class TestPicklableState:
     def test_stats_and_trace_round_trip(self, tmp_path):
         force = _run("thread", askfor_tree_program,
                      str(tmp_path / "out.txt"), stats=True, trace=True)
-        stats_clone = pickle.loads(pickle.dumps(force._stats))
-        assert stats_clone.as_dict() == force._stats.as_dict()
-        # and the published dict survives a from_dict/as_dict cycle
-        from repro.runtime.stats import ForceStats
-        assert ForceStats.from_dict(force.stats).as_dict() == \
-            force.stats
+        # the stats view reads the run's registry, which is what the
+        # process backend ships from each worker to the parent
+        from repro.runtime.stats import stats_from_registry
+        stats = force.stats         # settles the askfor gauges
+        clone = pickle.loads(pickle.dumps(force._metrics.registry))
+        assert stats_from_registry(clone, force.nproc) == stats
+        assert stats["askfor"]["tree"]["total_got"] == 15
         events = force.trace_events()
         clones = pickle.loads(pickle.dumps(events))
         assert [e.as_dict() for e in clones] == \

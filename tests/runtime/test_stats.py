@@ -1,9 +1,14 @@
-"""ForceStats collection and the shared stats report format."""
+"""Stats collection, the stats view of the metrics registry, and the
+shared stats report format."""
 
 import pytest
 
-from repro.runtime import Force, ForceStats, render_stats
+from repro.obsv.metrics import ForceMetrics, MetricsRegistry
+from repro.runtime import Force, render_stats, stats_from_registry
 from repro._util.errors import ForceError
+
+ZERO_WAIT = {"count": 0, "total_s": 0.0, "mean_s": 0.0, "min_s": 0.0,
+             "max_s": 0.0, "spread_s": 0.0}
 
 
 def jacobi_like(force, me):
@@ -103,6 +108,30 @@ class TestCollection:
         assert channel["count"] >= 1
         assert channel["total_s"] >= 0.04
 
+    def test_no_lost_updates_under_thread_switching(self):
+        # every process records into the one registry: a forced switch
+        # between any two bytecodes must not lose a count
+        import sys
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            force = Force(nproc=6, timeout=60, stats=True)
+
+            def program(force, me):
+                for _ in range(300):
+                    with force.critical("hot"):
+                        pass
+                for _i in force.selfsched_range("L", 1, 600):
+                    pass
+
+            force.run(program)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = force.stats
+        assert stats["criticals"]["hot"]["acquisitions"] == 6 * 300
+        assert stats["selfsched"]["L"] == {"chunks": 600, "indices": 600,
+                                           "max_chunk": 1}
+
     def test_stats_reset_between_runs(self):
         force = Force(nproc=2, timeout=10, stats=True)
         force.run(lambda force, me: force.barrier())
@@ -144,7 +173,93 @@ class TestRendering:
         assert render_stats({}) == ""
 
     def test_force_stats_object_renders(self):
-        stats = ForceStats(2)
-        stats.record_barrier_wait(0.001)
-        stats.record_barrier_episode()
-        assert "episodes:            1" in stats.render()
+        metrics = ForceMetrics()
+        metrics.barrier(0.001, released=False)
+        metrics.barrier(0.001, released=True)
+        report = render_stats(stats_from_registry(metrics.registry, 2))
+        assert "episodes:            1" in report
+        assert "waits:               2" in report
+
+
+class TestRegistryView:
+    """``stats_from_registry`` on hand-fed registries: exact dicts."""
+
+    def test_empty_registry_gives_zero_sections(self):
+        assert stats_from_registry(MetricsRegistry(), 3) == {
+            "nproc": 3,
+            "barriers": {"episodes": 0, "wait": ZERO_WAIT},
+            "criticals": {}, "selfsched": {}, "askfor": {},
+            "asyncvar": {},
+        }
+
+    def test_every_section_from_hand_fed_metrics(self):
+        metrics = ForceMetrics()
+        metrics.barrier(0.25, released=False)
+        metrics.barrier(0.5, released=True)
+        metrics.critical("calm", 0.0, False, 0.125)
+        metrics.critical("busy", 0.25, True, 0.125)
+        metrics.critical("busy", 0.0, False, 0.125)
+        metrics.critical("busy", 0.75, True, 0.125)
+        metrics.selfsched_chunk("L", 4)
+        metrics.selfsched_chunk("L", 6)
+        metrics.selfsched_chunk("L", 2)
+        metrics.askfor("jobs", total_put=7, total_got=6, max_depth=3)
+        metrics.asyncvar_block("chan", 0.5)
+        metrics.run_info(2, wall_s=1.0)     # not part of the view
+        metrics.checkpoint_written(100)     # nor this
+        assert stats_from_registry(metrics.registry, 2) == {
+            "nproc": 2,
+            "barriers": {
+                "episodes": 1,
+                "wait": {"count": 2, "total_s": 0.75, "mean_s": 0.375,
+                         "min_s": 0.25, "max_s": 0.5,
+                         "spread_s": 0.25},
+            },
+            "criticals": {
+                "busy": {"acquisitions": 3, "contended": 2,
+                         "wait": {"count": 2, "total_s": 1.0,
+                                  "mean_s": 0.5, "min_s": 0.25,
+                                  "max_s": 0.75, "spread_s": 0.5}},
+                # uncontended: a zero wait block, not a missing one
+                "calm": {"acquisitions": 1, "contended": 0,
+                         "wait": ZERO_WAIT},
+            },
+            "selfsched": {"L": {"chunks": 3, "indices": 12,
+                                "max_chunk": 6}},
+            "askfor": {"jobs": {"total_put": 7, "total_got": 6,
+                                "max_depth": 3}},
+            "asyncvar": {"chan": {"count": 1, "total_s": 0.5,
+                                  "mean_s": 0.5, "min_s": 0.5,
+                                  "max_s": 0.5, "spread_s": 0.0}},
+        }
+
+    def test_view_survives_worker_merge(self):
+        # the process backend folds worker registries in the parent:
+        # max_chunk and the wait extremes merge as max/min, not last
+        first, second = ForceMetrics(), ForceMetrics()
+        first.selfsched_chunk("L", 5)
+        first.barrier(0.5, released=True)
+        second.selfsched_chunk("L", 2)
+        second.barrier(0.25, released=True)
+        merged = MetricsRegistry()
+        merged.merge(first.registry)
+        merged.merge(second.registry)
+        stats = stats_from_registry(merged, 2)
+        assert stats["selfsched"]["L"] == {"chunks": 2, "indices": 7,
+                                           "max_chunk": 5}
+        assert stats["barriers"]["episodes"] == 2
+        assert stats["barriers"]["wait"]["min_s"] == 0.25
+        assert stats["barriers"]["wait"]["max_s"] == 0.5
+
+    def test_metrics_flag_alone_keeps_stats_off(self):
+        force = Force(nproc=2, timeout=10, metrics=True)
+        force.run(lambda force, me: force.barrier())
+        assert force.stats is None
+        assert force.metrics_registry().family("barrier_episodes_total")
+
+    def test_stats_flag_alone_keeps_metrics_export_off(self):
+        force = Force(nproc=2, timeout=10, stats=True)
+        force.run(lambda force, me: force.barrier())
+        assert force.stats["barriers"]["episodes"] == 1
+        with pytest.raises(ForceError):
+            force.metrics_registry()
