@@ -24,7 +24,8 @@ from typing import Any
 
 import pytest
 
-from repro.bench import git_revision, make_entry, merge_results
+from repro._util.gitrev import git_revision
+from repro.bench import make_entry, merge_results
 
 _RESULTS_DIR = Path(__file__).parent / "results"
 _REPO_ROOT = Path(__file__).resolve().parent.parent

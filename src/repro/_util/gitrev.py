@@ -11,6 +11,7 @@ revision.
 from __future__ import annotations
 
 import subprocess
+import sys
 from pathlib import Path
 
 
@@ -22,7 +23,8 @@ def git_revision(root: Path | None = None, *,
     from an unrelated directory must not stamp that directory's
     revision.  When ``git rev-parse`` is unavailable or fails
     (tarball install, missing git, corrupt checkout), the result
-    degrades to ``None`` instead of crashing.
+    degrades to ``None`` instead of crashing; the warning goes to
+    stderr so it never corrupts a JSON document on stdout.
     """
     if root is None:
         root = Path(__file__).resolve().parents[2]
@@ -31,12 +33,12 @@ def git_revision(root: Path | None = None, *,
             ["git", "rev-parse", "--short", "HEAD"],
             cwd=root, capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.TimeoutExpired) as exc:
-        if warn:
-            print(f"warning: cannot stamp git revision ({exc})")
-        return None
-    if proc.returncode != 0:
-        if warn:
-            print("warning: cannot stamp git revision "
-                  f"(git rev-parse failed: {proc.stderr.strip()})")
-        return None
-    return proc.stdout.strip() or None
+        detail = str(exc)
+    else:
+        if proc.returncode == 0:
+            return proc.stdout.strip() or None
+        detail = proc.stderr.strip() or f"git exited {proc.returncode}"
+    if warn:
+        print(f"warning: cannot stamp git revision ({detail}); "
+              "recording git_revision: null", file=sys.stderr)
+    return None

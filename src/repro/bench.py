@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 from typing import Any, Callable
+
+from repro._util.gitrev import git_revision
 
 SCHEMA = 1
 
@@ -57,34 +57,6 @@ JACOBI_KERNEL = """\
       WRITE(*,*) NINT(1000.0 * U(3))
       END
 """
-
-
-def git_revision(root: Path | None = None) -> str | None:
-    """The current short git revision, or None (with a warning).
-
-    ``root`` defaults to the checkout this package lives in — running
-    ``force bench`` from an unrelated directory must not stamp that
-    directory's revision into BENCH_results.json.  When ``git
-    rev-parse`` is unavailable or fails (tarball install, missing git,
-    corrupt checkout), the result degrades to ``git_revision: null``
-    with a warning instead of crashing.
-    """
-    if root is None:
-        root = Path(__file__).resolve().parents[2]
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=root, capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        print(f"warning: cannot stamp git revision ({exc}); "
-              "recording git_revision: null", file=sys.stderr)
-        return None
-    if proc.returncode != 0:
-        detail = proc.stderr.strip() or f"git exited {proc.returncode}"
-        print(f"warning: cannot stamp git revision ({detail}); "
-              "recording git_revision: null", file=sys.stderr)
-        return None
-    return proc.stdout.strip() or None
 
 
 def make_entry(name: str, *, params: dict[str, Any] | None = None,

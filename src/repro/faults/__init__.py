@@ -10,56 +10,21 @@ Public surface:
 * :mod:`repro.faults.corpus` — native workloads with result oracles;
 * :mod:`repro.faults.chaos` — the sweep harness behind ``force chaos``.
 
-The corpus/chaos names are loaded lazily (PEP 562): the runtime
-imports :mod:`repro.faults.injector`, and chaos imports the runtime,
-so eager re-export here would be circular.
+Every name resolves on first use (PEP 562): the runtime imports
+:mod:`repro.faults.injector`, and chaos imports the runtime, so eager
+re-export here would be circular.
 """
 
-from repro.faults.injector import (
-    FaultInjector,
-    InjectedDeath,
-    InjectedFault,
-    InjectionRecord,
-)
-from repro.faults.plan import (
-    FAULT_KINDS,
-    NOTIFY_SITES,
-    SITES,
-    FaultPlan,
-    FaultSpec,
-    FaultSpecError,
-    parse_fault_spec,
-    random_plan,
-)
+from repro._util.lazy import lazy_exports
 
-_CORPUS_EXPORTS = ("CORPUS", "ChaosCheckError", "ChaosProgram")
-_CHAOS_EXPORTS = ("ChaosOutcome", "ChaosReport", "chaos_sweep",
-                  "render_report", "run_one", "write_failure_artifacts")
-
-__all__ = [
-    "FAULT_KINDS",
-    "NOTIFY_SITES",
-    "SITES",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultSpecError",
-    "InjectedDeath",
-    "InjectedFault",
-    "InjectionRecord",
-    "parse_fault_spec",
-    "random_plan",
-    *_CORPUS_EXPORTS,
-    *_CHAOS_EXPORTS,
-]
-
-
-def __getattr__(name: str):
-    if name in _CORPUS_EXPORTS:
-        from repro.faults import corpus
-        return getattr(corpus, name)
-    if name in _CHAOS_EXPORTS:
-        from repro.faults import chaos
-        return getattr(chaos, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.plan": ("FAULT_KINDS", "NOTIFY_SITES", "SITES",
+                          "FaultPlan", "FaultSpec", "FaultSpecError",
+                          "parse_fault_spec", "random_plan"),
+    "repro.faults.injector": ("FaultInjector", "InjectedDeath",
+                              "InjectedFault", "InjectionRecord"),
+    "repro.faults.corpus": ("CORPUS", "ChaosCheckError", "ChaosProgram"),
+    "repro.faults.chaos": ("ChaosOutcome", "ChaosReport", "chaos_sweep",
+                           "render_report", "run_one",
+                           "write_failure_artifacts"),
+})

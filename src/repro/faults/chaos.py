@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from time import monotonic
 from typing import Any
 
-from repro.bench import git_revision
+from repro._util.gitrev import git_revision
 from repro.faults.corpus import CORPUS, ChaosCheckError, ChaosProgram
 from repro.faults.injector import InjectedFault
 from repro.faults.plan import FaultPlan, random_plan

@@ -18,50 +18,16 @@ used by the discrete-event simulator, so lock contention, process
 creation overhead and barrier scaling take machine-specific shapes.
 """
 
-from repro.machines.model import (
-    CostTable,
-    LockType,
-    MachineModel,
-    ProcessModel,
-    SharingBinding,
-)
-from repro.machines.catalog import (
-    ALLIANT_FX8,
-    CRAY_2,
-    ENCORE_MULTIMAX,
-    FLEX_32,
-    HEP,
-    MACHINES,
-    PYTHON_HOST,
-    SEQUENT_BALANCE,
-    get_machine,
-    machine_names,
-)
-from repro.machines.memory import (
-    MemoryLayout,
-    SharedArena,
-    SharedRegionPlan,
-)
-from repro._util.errors import MachineError
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "CostTable",
-    "LockType",
-    "MachineModel",
-    "ProcessModel",
-    "SharingBinding",
-    "ALLIANT_FX8",
-    "CRAY_2",
-    "ENCORE_MULTIMAX",
-    "FLEX_32",
-    "HEP",
-    "MACHINES",
-    "PYTHON_HOST",
-    "SEQUENT_BALANCE",
-    "get_machine",
-    "machine_names",
-    "MemoryLayout",
-    "SharedArena",
-    "SharedRegionPlan",
-    "MachineError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.machines.model": ("CostTable", "LockType", "MachineModel",
+                             "ProcessModel", "SharingBinding"),
+    "repro.machines.catalog": ("ALLIANT_FX8", "CRAY_2", "ENCORE_MULTIMAX",
+                               "FLEX_32", "HEP", "MACHINES", "PYTHON_HOST",
+                               "SEQUENT_BALANCE", "get_machine",
+                               "machine_names"),
+    "repro.machines.memory": ("MemoryLayout", "SharedArena",
+                              "SharedRegionPlan"),
+    "repro._util.errors": ("MachineError",),
+})

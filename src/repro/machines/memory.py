@@ -18,9 +18,7 @@ machine-required padding, and exposes invariant checks that the tests
 from __future__ import annotations
 
 import os
-import secrets
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -234,11 +232,15 @@ class SharedArena:
 
     def __init__(self, size: int | None = None, *,
                  name: str | None = None) -> None:
+        # imported here: every simulated run imports this module for
+        # the layout emulation, and only the process backend maps arenas
+        from multiprocessing import resource_tracker, shared_memory
         if size is not None:
             if size <= ARENA_HEADER_BYTES:
                 raise MachineError(
                     f"arena of {size} bytes cannot hold the "
                     f"{ARENA_HEADER_BYTES}-byte header")
+            import secrets
             unique = name or f"{ARENA_PREFIX}{secrets.token_hex(6)}"
             self._shm = shared_memory.SharedMemory(
                 name=unique, create=True, size=size)
@@ -375,6 +377,7 @@ def sweep_stale_arenas(*, shm_dir: str = "/dev/shm",
     Safe to call at any time; the process backend runs it before
     creating each new arena.
     """
+    from multiprocessing import resource_tracker, shared_memory
     removed: list[str] = []
     try:
         names = sorted(os.listdir(shm_dir))

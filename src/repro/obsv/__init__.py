@@ -22,24 +22,12 @@ traces), and this package turns those records into answers:
   document (sched/chunk, spin budget, backend).
 """
 
-from repro.obsv.analyze import TraceAnalysis, analyze_trace
-from repro.obsv.metrics import (
-    ForceMetrics,
-    MetricsRegistry,
-    registry_from_sim,
-    validate_metrics,
-)
-from repro.obsv.profile import render_profile
-from repro.obsv.tune import tune_from_events, validate_recommendation
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "ForceMetrics",
-    "MetricsRegistry",
-    "TraceAnalysis",
-    "analyze_trace",
-    "registry_from_sim",
-    "render_profile",
-    "tune_from_events",
-    "validate_metrics",
-    "validate_recommendation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obsv.metrics": ("ForceMetrics", "MetricsRegistry",
+                           "registry_from_sim", "validate_metrics"),
+    "repro.obsv.analyze": ("TraceAnalysis", "analyze_trace"),
+    "repro.obsv.profile": ("render_profile",),
+    "repro.obsv.tune": ("tune_from_events", "validate_recommendation"),
+})

@@ -13,16 +13,11 @@ the startup subroutine is executed first to produce linker commands,
 which are applied before the real run.
 """
 
-from repro.pipeline.compile import force_translate, TranslationResult
-from repro.pipeline.native import native_run, NativeRunResult
-from repro.pipeline.run import force_run, force_compile_and_run, RunResult
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "force_translate",
-    "TranslationResult",
-    "force_run",
-    "force_compile_and_run",
-    "RunResult",
-    "native_run",
-    "NativeRunResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.pipeline.compile": ("force_translate", "TranslationResult"),
+    "repro.pipeline.run": ("force_run", "force_compile_and_run",
+                           "RunResult"),
+    "repro.pipeline.native": ("native_run", "NativeRunResult"),
+})

@@ -43,7 +43,6 @@ code  meaning
 from __future__ import annotations
 
 import argparse
-import difflib
 import sys
 
 from repro._util.errors import (
@@ -52,9 +51,8 @@ from repro._util.errors import (
     ForceWorkerDied,
     SimDeadlockError,
 )
-from repro.machines import get_machine, MACHINES
+from repro.machines.catalog import MACHINES, get_machine
 from repro.pipeline.compile import force_translate
-from repro.pipeline.run import force_run
 
 #: the exit-code taxonomy (see module docstring)
 EXIT_OK = 0
@@ -136,6 +134,7 @@ def _fault_spec(text: str):
 def _machine_key(text: str) -> str:
     if text in MACHINES:
         return text
+    import difflib
     close = difflib.get_close_matches(text, MACHINES, n=1)
     hint = f" (did you mean {close[0]!r}?)" if close else ""
     raise argparse.ArgumentTypeError(
@@ -562,6 +561,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             facts = None
     if args.backend == "sim":
+        from repro.pipeline.run import force_run
         result = force_run(translation, args.nproc,
                            trace=args.trace is not None,
                            deadline=args.deadline,

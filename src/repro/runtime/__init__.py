@@ -30,41 +30,19 @@ Example::
     Force(nproc=4).run(program)
 """
 
-from repro._util.errors import ForceDeadlockError, ForceWorkerDied
-from repro.runtime.barriers import (
-    BARRIER_ALGORITHMS,
-    CentralCounterBarrier,
-    DisseminationBarrier,
-    SenseReversingBarrier,
-    TournamentBarrier,
-    make_barrier,
-)
-from repro.runtime.asyncvar import AsyncVariable, AsyncArray
-from repro.runtime.cancel import CancelToken, ForceCancelled
-from repro.runtime.force import Force, ForceProgramError
-from repro.runtime.askfor import AskforMonitor
-from repro.runtime.procforce import ProcessForce
-from repro.runtime.resolve import Resolve
-from repro.runtime.stats import render_stats, stats_from_registry
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "BARRIER_ALGORITHMS",
-    "CentralCounterBarrier",
-    "DisseminationBarrier",
-    "SenseReversingBarrier",
-    "TournamentBarrier",
-    "make_barrier",
-    "AsyncVariable",
-    "AsyncArray",
-    "CancelToken",
-    "Force",
-    "ForceCancelled",
-    "ForceDeadlockError",
-    "ForceProgramError",
-    "ForceWorkerDied",
-    "render_stats",
-    "stats_from_registry",
-    "AskforMonitor",
-    "ProcessForce",
-    "Resolve",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runtime.barriers": ("BARRIER_ALGORITHMS", "CentralCounterBarrier",
+                               "DisseminationBarrier",
+                               "SenseReversingBarrier", "TournamentBarrier",
+                               "make_barrier"),
+    "repro.runtime.asyncvar": ("AsyncVariable", "AsyncArray"),
+    "repro.runtime.cancel": ("CancelToken", "ForceCancelled"),
+    "repro.runtime.force": ("Force", "ForceProgramError"),
+    "repro._util.errors": ("ForceDeadlockError", "ForceWorkerDied"),
+    "repro.runtime.stats": ("render_stats", "stats_from_registry"),
+    "repro.runtime.askfor": ("AskforMonitor",),
+    "repro.runtime.procforce": ("ProcessForce",),
+    "repro.runtime.resolve": ("Resolve",),
+})

@@ -22,33 +22,15 @@ exporters, summaries and diagnostics serves both:
   subcommand.
 """
 
-from repro.trace.adapter import events_from_sim_trace
-from repro.trace.collector import TraceCollector
-from repro.trace.events import KINDS, TraceEvent
-from repro.trace.export import (
-    load_trace_file,
-    to_chrome,
-    to_jsonl,
-    to_text,
-    validate_chrome_trace,
-    write_trace_file,
-)
-from repro.trace.summary import render_trace_summary, summarize_events
-from repro.trace.watchdog import StallWatchdog, render_stall_report
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "KINDS",
-    "TraceEvent",
-    "TraceCollector",
-    "StallWatchdog",
-    "render_stall_report",
-    "events_from_sim_trace",
-    "to_chrome",
-    "to_jsonl",
-    "to_text",
-    "write_trace_file",
-    "load_trace_file",
-    "validate_chrome_trace",
-    "summarize_events",
-    "render_trace_summary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.trace.events": ("KINDS", "TraceEvent"),
+    "repro.trace.collector": ("TraceCollector",),
+    "repro.trace.watchdog": ("StallWatchdog", "render_stall_report"),
+    "repro.trace.adapter": ("events_from_sim_trace",),
+    "repro.trace.export": ("to_chrome", "to_jsonl", "to_text",
+                           "write_trace_file", "load_trace_file",
+                           "validate_chrome_trace"),
+    "repro.trace.summary": ("summarize_events", "render_trace_summary"),
+})

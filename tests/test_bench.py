@@ -10,6 +10,7 @@ import subprocess
 from pathlib import Path
 
 from repro import bench
+from repro._util import gitrev
 
 
 class TestGitRevision:
@@ -33,7 +34,7 @@ class TestGitRevision:
         def no_git(*args, **kwargs):
             raise OSError("No such file or directory: 'git'")
 
-        monkeypatch.setattr(bench.subprocess, "run", no_git)
+        monkeypatch.setattr(gitrev.subprocess, "run", no_git)
         assert bench.git_revision() is None
         assert "git_revision: null" in capsys.readouterr().err
 
@@ -41,9 +42,19 @@ class TestGitRevision:
         def hangs(cmd, **kwargs):
             raise subprocess.TimeoutExpired(cmd, 10)
 
-        monkeypatch.setattr(bench.subprocess, "run", hangs)
+        monkeypatch.setattr(gitrev.subprocess, "run", hangs)
         assert bench.git_revision() is None
         assert "git_revision: null" in capsys.readouterr().err
+
+    def test_warning_goes_to_stderr_never_stdout(self, tmp_path, capsys):
+        # stdout may be a --format json document; a warning there
+        # would corrupt it
+        assert gitrev.git_revision(root=tmp_path) is None
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "recording git_revision: null" in captured.err
+        assert gitrev.git_revision(root=tmp_path, warn=False) is None
+        assert capsys.readouterr() == ("", "")
 
     def test_entry_records_null_not_crash(self, monkeypatch):
         monkeypatch.setattr(bench, "git_revision", lambda root=None: None)
