@@ -49,6 +49,11 @@ class InjectedFault(ForceError):
             f"{'/' + spec.name if spec.name else ''} "
             f"(process {me}, occurrence {spec.occurrence})")
 
+    def __reduce__(self):
+        # Rebuild from the fields, not the derived message: the process
+        # backend pickles a worker's first failure into the arena.
+        return (InjectedFault, (self.spec, self.me))
+
 
 class InjectedDeath(BaseException):
     """Abrupt injected thread death (not an Exception: user ``except

@@ -207,14 +207,18 @@ class _ProcessCommons(CommonProvider):
 # ----------------------------------------------------------------------
 # blocking lock engines over the backend's wait machinery
 # ----------------------------------------------------------------------
-class _ThreadSync:
-    """Locks for the thread backend: one condition, cancel-aware."""
+class _Sync:
+    """Native lock words over a (mutex, token) pair.
 
-    def __init__(self, force: Force) -> None:
+    A lock is a LOGICAL cell read and written under ``mutex``; a waiter
+    parks in the force's revalidating, poison-aware wait.  The backends
+    differ only in the mutex, in how storage is named across members
+    (``storage_key``) and in run-wide once-flags (``once``).
+    """
+
+    def __init__(self, force, mutex) -> None:
         self.force = force
-        self.mutex = threading.Condition()
-        self._once: set = set()
-        force._cancel.register(self.mutex)
+        self.mutex = mutex
 
     def acquire(self, ref, label: str) -> None:
         with self.mutex:
@@ -224,14 +228,21 @@ class _ThreadSync:
             ref.set(True)
 
     def release(self, ref) -> None:
-        with self.mutex:
-            ref.set(False)
-            self.mutex.notify_all()
+        self.set_state(ref, False)
 
     def set_state(self, ref, locked: bool) -> None:
         with self.mutex:
             ref.set(bool(locked))
             self.mutex.notify_all()
+
+
+class _ThreadSync(_Sync):
+    """Locks for the thread backend: one private condition."""
+
+    def __init__(self, force: Force) -> None:
+        super().__init__(force, threading.Condition())
+        self._once: set = set()
+        force._cancel.register(self.mutex)
 
     def storage_key(self, ref) -> int:
         if isinstance(ref, CellRef):
@@ -249,33 +260,13 @@ class _ThreadSync:
             return True
 
 
-class _ProcessSync:
+class _ProcessSync(_Sync):
     """Locks for the process backend: the Force's shared bus, with
     lock state living in the arena-backed LOGICAL cells themselves."""
 
     def __init__(self, force) -> None:
-        self.force = force
+        super().__init__(force, force._bus)
         self._base = force._arena.view(0, 1).__array_interface__["data"][0]
-
-    @property
-    def mutex(self):
-        return self.force._bus
-
-    def acquire(self, ref, label: str) -> None:
-        with self.force._bus:
-            self.force._await(lambda: not bool(ref.get()),
-                              f"native lock {label}")
-            ref.set(True)
-
-    def release(self, ref) -> None:
-        with self.force._bus:
-            ref.set(False)
-            self.force._bus.notify_all()
-
-    def set_state(self, ref, locked: bool) -> None:
-        with self.force._bus:
-            ref.set(bool(locked))
-            self.force._bus.notify_all()
 
     def storage_key(self, ref) -> int:
         """Arena offset of the referenced storage — identical in every
@@ -291,7 +282,7 @@ class _ProcessSync:
 
     def once(self, key) -> bool:
         flag = self.force.shared_array(f"zzonce:{key}", (1,), np.int64)
-        with self.force._bus:
+        with self.mutex:
             if int(flag[0]):
                 return False
             flag[0] = 1

@@ -38,10 +38,20 @@ if TYPE_CHECKING:   # pragma: no cover - typing only
     from repro.trace.collector import TraceCollector
 
 
-class AsyncVariable:
-    """One full/empty cell."""
+#: slots of a full/empty cell's storage
+_FULL, _VALUE = 0, 1
 
-    __slots__ = ("_value", "_full", "_condition", "_cancel", "_on_block",
+
+class AsyncVariable:
+    """One full/empty cell.
+
+    The protocol reads and writes its state through ``_cell``, a
+    two-slot ``[full, value]`` sequence: a list on the thread backend.
+    The process backend hands in arena-backed storage and its
+    cross-process condition instead (``_cell``/``_condition``).
+    """
+
+    __slots__ = ("_cell", "_condition", "_cancel", "_on_block",
                  "_tracer", "_injector", "_name")
 
     def __init__(self, value: Any = None, *, full: bool = False,
@@ -49,10 +59,11 @@ class AsyncVariable:
                  on_block: Callable[[float], None] | None = None,
                  tracer: "TraceCollector | None" = None,
                  injector: "FaultInjector | None" = None,
-                 name: str = "") -> None:
-        self._value = value
-        self._full = full
-        self._condition = threading.Condition()
+                 name: str = "",
+                 _cell=None, _condition=None) -> None:
+        self._cell = [full, value] if _cell is None else _cell
+        self._condition = threading.Condition() if _condition is None \
+            else _condition
         self._cancel = cancel
         self._on_block = on_block
         self._tracer = tracer
@@ -78,7 +89,7 @@ class AsyncVariable:
     @property
     def isfull(self) -> bool:
         with self._condition:
-            return self._full
+            return bool(self._cell[_FULL])
 
     def _await(self, predicate: Callable[[], bool],
                timeout: float | None, failure: str,
@@ -117,59 +128,69 @@ class AsyncVariable:
     def produce(self, value: Any, *, timeout: float | None = None) -> None:
         """Wait for empty, write ``value``, set full."""
         self._fire("produce")
+        cell = self._cell
         with self._condition:
-            self._await(lambda: not self._full, timeout,
+            self._await(lambda: not cell[_FULL], timeout,
                         "produce timed out (variable stayed full)",
                         op="produce")
-            self._value = value
-            self._full = True
+            cell[_VALUE] = value
+            cell[_FULL] = True
             self._notify_all("produce")
 
     def consume(self, *, timeout: float | None = None) -> Any:
         """Wait for full, read, set empty."""
         self._fire("consume")
+        cell = self._cell
         with self._condition:
-            self._await(lambda: self._full, timeout,
+            self._await(lambda: cell[_FULL], timeout,
                         "consume timed out (variable stayed empty)",
                         op="consume")
-            value = self._value
-            self._full = False
+            value = cell[_VALUE]
+            cell[_FULL] = False
             self._notify_all("consume")
             return value
 
     def copy(self, *, timeout: float | None = None) -> Any:
         """Wait for full, read, leave full."""
         self._fire("copy")
+        cell = self._cell
         with self._condition:
-            self._await(lambda: self._full, timeout,
+            self._await(lambda: cell[_FULL], timeout,
                         "copy timed out (variable stayed empty)",
                         op="copy")
-            return self._value
+            return cell[_VALUE]
 
     def void(self) -> None:
         """Set the state to empty regardless of its previous state."""
         self._fire("void")
         with self._condition:
-            self._full = False
+            self._cell[_FULL] = False
             self._notify_all("void")
 
 
 class AsyncArray:
-    """An array of full/empty cells (HEP-style per-element state)."""
+    """An array of full/empty cells (HEP-style per-element state).
+
+    ``_cells``/``_condition`` hand in per-cell storage and a shared
+    condition, as for :class:`AsyncVariable`.
+    """
 
     def __init__(self, size: int, *,
                  cancel: CancelToken | None = None,
                  on_block: Callable[[float], None] | None = None,
                  tracer: "TraceCollector | None" = None,
                  injector: "FaultInjector | None" = None,
-                 name: str = "") -> None:
+                 name: str = "",
+                 _cells=None, _condition=None) -> None:
         if size <= 0:
             raise ForceError("AsyncArray size must be positive")
+        storage = [None] * size if _cells is None else _cells
         self._cells = [AsyncVariable(cancel=cancel, on_block=on_block,
                                      tracer=tracer, injector=injector,
                                      name=f"{name}[{index}]" if name
-                                     else "")
-                       for index in range(size)]
+                                     else "",
+                                     _cell=cell, _condition=_condition)
+                       for index, cell in enumerate(storage)]
 
     def __len__(self) -> int:
         return len(self._cells)

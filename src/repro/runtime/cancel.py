@@ -15,6 +15,11 @@ the token (so cancellation is a ``notify_all``, not a poll); constructs
 that wait on :class:`threading.Event` flags or plain locks use the
 token's polling helpers with a short poll interval, bounding the
 propagation latency without slowing the uncontended fast path.
+
+:meth:`CancelToken.wait_for` is the runtime's one revalidating wait:
+both backends' constructs park in it.  The process backend subclasses
+the token so that its flag and first error live in shared memory
+(``procforce._ArenaCancelToken``).
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ class CancelToken:
     one re-raised by ``Force.run``.
     """
 
-    __slots__ = ("_lock", "_flag", "_conditions", "error",
+    __slots__ = ("_lock", "_flag", "_conditions", "_error",
                  "construct_timeout", "revalidate_interval")
 
     def __init__(self, *, construct_timeout: float | None = None,
@@ -75,7 +80,7 @@ class CancelToken:
         self._lock = threading.Lock()
         self._flag = threading.Event()
         self._conditions: list[threading.Condition] = []
-        self.error: BaseException | None = None
+        self._error: BaseException | None = None
         #: per-construct blocking deadline: a wait with no explicit
         #: timeout that exceeds this raises ForceDeadlockError naming
         #: the construct (and poisons the force), instead of hanging
@@ -90,6 +95,11 @@ class CancelToken:
     def cancelled(self) -> bool:
         return self._flag.is_set()
 
+    @property
+    def error(self) -> BaseException | None:
+        """The first error passed to :meth:`cancel` (None until then)."""
+        return self._error
+
     def register(self, condition: threading.Condition) -> None:
         """Add a condition to wake with ``notify_all`` on cancellation."""
         with self._lock:
@@ -100,7 +110,7 @@ class CancelToken:
         with self._lock:
             if self._flag.is_set():
                 return
-            self.error = error
+            self._error = error
             self._flag.set()
             conditions = list(self._conditions)
         for condition in conditions:

@@ -58,7 +58,7 @@ from repro.faults.injector import FaultInjector, InjectedDeath
 from repro.faults.plan import FaultPlan
 from repro.obsv.metrics import ForceMetrics, MetricsRegistry
 from repro.runtime.askfor import AskforMonitor
-from repro.runtime.asyncvar import AsyncArray, AsyncVariable
+from repro.runtime.asyncvar import _FULL, _VALUE, AsyncArray, AsyncVariable
 from repro.runtime.barriers import Barrier, make_barrier
 from repro.runtime.cancel import (
     REVALIDATE_INTERVAL,
@@ -110,6 +110,20 @@ class SharedCounter:
         self.value = value
 
 
+#: selfsched dispatch policies, in record-code order
+SCHEDULES = ("self", "chunked", "guided")
+
+#: slots of a selfscheduled loop's state words, and the two phases
+_PHASE, _INSIDE, _NEXT = range(3)
+_ENTRY, _EXIT = 0, 1
+
+
+def _name_clash(key: str, have: str, want: str) -> ForceError:
+    """The error for a shared name reused across construct kinds."""
+    return ForceError(f"shared object {key!r} already exists as {have}, "
+                      f"not {want}")
+
+
 class _SelfschedLoop:
     """One selfscheduled loop instance: the paper's entry/exit protocol.
 
@@ -120,8 +134,12 @@ class _SelfschedLoop:
 
     The exit protocol runs in a ``finally`` so that a consumer that
     ``break``s out of the generator early (``GeneratorExit``) still
-    leaves the loop — otherwise ``_inside`` stays incremented and every
-    later entry with the same label deadlocks.
+    leaves the loop — otherwise the inside count stays incremented and
+    every later entry with the same label deadlocks.
+
+    The protocol's state is three words ``[phase, inside, next]``: a
+    list on the thread backend; the process backend hands in an arena
+    record and its bus (``_state``/``_condition``).
     """
 
     def __init__(self, nproc: int, *,
@@ -132,14 +150,14 @@ class _SelfschedLoop:
                  dead_check: Callable[[], list[int]] | None = None,
                  label: str = "",
                  chunk: int = 1,
-                 schedule: str = "self") -> None:
+                 schedule: str = "self",
+                 _state=None, _condition=None) -> None:
         self.nproc = nproc
         self.chunk = chunk
         self.schedule = schedule
-        self._condition = threading.Condition()
-        self._phase = "entry"
-        self._inside = 0
-        self._next = 0
+        self._condition = threading.Condition() if _condition is None \
+            else _condition
+        self._state = [_ENTRY, 0, 0] if _state is None else _state
         self._cancel = cancel
         self._metrics = metrics
         self._tracer = tracer
@@ -179,15 +197,16 @@ class _SelfschedLoop:
         if step == 0:
             raise ForceError("selfsched step must be nonzero")
         tracer = self._tracer
+        state = self._state
         if tracer is not None:
             tracer.mark_parked("selfsched", self._label)
         with self._condition:
-            self._wait_for(lambda: self._phase == "entry")
-            if self._inside == 0:
-                self._next = first
-            self._inside += 1
-            if self._inside == self.nproc:
-                self._phase = "exit"
+            self._wait_for(lambda: state[_PHASE] == _ENTRY)
+            if state[_INSIDE] == 0:
+                state[_NEXT] = first
+            state[_INSIDE] += 1
+            if state[_INSIDE] == self.nproc:
+                state[_PHASE] = _EXIT
                 self._condition.notify_all()
         if tracer is not None:
             tracer.clear_parked()
@@ -196,7 +215,7 @@ class _SelfschedLoop:
                 with self._condition:
                     if self._cancel is not None:
                         self._cancel.check()
-                    value = self._next
+                    value = int(state[_NEXT])
                     if step > 0:
                         remaining = (last - value) // step + 1 \
                             if value <= last else 0
@@ -211,7 +230,7 @@ class _SelfschedLoop:
                         size = self.chunk
                     if size > remaining:
                         size = remaining
-                    self._next = value + size * step
+                    state[_NEXT] = value + size * step
                 if self._metrics is not None:
                     self._metrics.selfsched_chunk(self._label, size)
                 if tracer is not None:
@@ -228,14 +247,20 @@ class _SelfschedLoop:
                 # stranded entry/exit state is what the dead-worker
                 # hazard above must detect in the surviving processes.
                 pass
+            elif self._cancel is not None and self._cancel.cancelled:
+                # The force is poisoned: the exit phase may never open,
+                # and waiting would raise ForceCancelled — from inside
+                # GeneratorExit when an abandoned generator is closed.
+                # The run's construct state is discarded anyway.
+                pass
             else:
                 if tracer is not None:
                     tracer.mark_parked("selfsched", self._label)
                 with self._condition:
-                    self._wait_for(lambda: self._phase == "exit")
-                    self._inside -= 1
-                    if self._inside == 0:
-                        self._phase = "entry"
+                    self._wait_for(lambda: state[_PHASE] == _EXIT)
+                    state[_INSIDE] -= 1
+                    if state[_INSIDE] == 0:
+                        state[_PHASE] = _ENTRY
                         self._condition.notify_all()
                 if tracer is not None:
                     tracer.clear_parked()
@@ -328,20 +353,27 @@ class Force:
         self._barrier: Barrier = make_barrier(self._barrier_algorithm,
                                               self.nproc,
                                               cancel=self._cancel)
-        self._criticals: dict[str, threading.Lock] = {}
-        self._shared: dict[str, Any] = {}
-        self._loops: dict[str, _SelfschedLoop] = {}
+        self._reset_registry()
         self._failures: list[ForceError] = []
         self._threads: dict[int, threading.Thread] = {}
         #: me -> site of an (injected) abrupt death, no cleanup done
         self._deaths: dict[int, str] = {}
-        #: completed barrier episodes (counted only while a checkpoint
-        #: policy is armed); a restored run continues the snapshot's
-        #: numbering so every-n scheduling stays aligned across resume
-        self._barrier_epoch = int(self._restore_doc["epoch"]) \
-            if self._restore_doc is not None else 0
+        #: one word: completed barrier episodes (counted only while a
+        #: checkpoint policy is armed); a restored run continues the
+        #: snapshot's numbering so every-n scheduling stays aligned
+        #: across resume.  The process backend moves it into the arena.
+        self._epoch_word = [int(self._restore_doc["epoch"])
+                            if self._restore_doc is not None else 0]
         if self._restore_doc is not None:
             self._apply_restore()
+
+    def _reset_registry(self) -> None:
+        """Empty the named-object registry (this process's view)."""
+        self._criticals: dict[str, Any] = {}
+        self._shared: dict[str, Any] = {}
+        #: name -> construct kind ("shared_counter", "askfor", ...)
+        self._kinds: dict[str, str] = {}
+        self._loops: dict[str, _SelfschedLoop] = {}
 
     def _fresh_metrics(self) -> ForceMetrics | None:
         """The run's one registry: ``stats=True`` reads it as the stats
@@ -360,7 +392,7 @@ class Force:
         if self._tracer is not None:
             self._tracer.record(
                 "recover", "checkpoint", "restore",
-                epoch=self._barrier_epoch,
+                epoch=self.barrier_epoch,
                 snapshot_nproc=int(self._restore_doc["nproc"]),
                 nproc=self.nproc)
 
@@ -529,9 +561,10 @@ class Force:
                 user_section()
             policy = self._checkpoint
             if policy is not None:
-                self._barrier_epoch += 1
-                if self._barrier_epoch % policy.every_n_barriers == 0:
-                    self._write_checkpoint(self._barrier_epoch)
+                self._epoch_word[0] += 1
+                epoch = int(self._epoch_word[0])
+                if epoch % policy.every_n_barriers == 0:
+                    self._write_checkpoint(epoch)
         return section
 
     def _run_episode(self, me: int, section: Callable[[], None]) -> bool:
@@ -571,7 +604,7 @@ class Force:
     @property
     def barrier_epoch(self) -> int:
         """Completed barrier episodes (counted while checkpointing)."""
-        return self._barrier_epoch
+        return int(self._epoch_word[0])
 
     def capture_state(self) -> dict[str, Any]:
         """Snapshot the current shared state as a checkpoint document.
@@ -581,33 +614,36 @@ class Force:
         differential-oracle entry point: two runs whose captured
         ``sha256`` digests agree have bitwise-identical shared state.
         """
-        return build_checkpoint(epoch=self._barrier_epoch,
+        return build_checkpoint(epoch=self.barrier_epoch,
                                 nproc=self.nproc, backend=self.backend,
                                 constructs=self._capture_shared())
 
+    def _shared_objects(self) -> list[tuple[str, Any]]:
+        """(name, object) for every named shared construct."""
+        with self._registry_lock:
+            return list(self._shared.items())
+
     def _capture_shared(self) -> list[dict[str, Any]]:
         entries: list[dict[str, Any]] = []
-        with self._registry_lock:
-            shared = dict(self._shared)
-        for name, obj in shared.items():
+        for name, obj in self._shared_objects():
             if isinstance(obj, SharedCounter):
                 entries.append(counter_entry(name, obj.value))
             elif isinstance(obj, np.ndarray):
                 entries.append(array_entry(name, obj))
             elif isinstance(obj, AsyncVariable):
-                entries.append(asyncvar_entry(name, obj._full,
-                                              obj._value))
+                entries.append(asyncvar_entry(name, obj._cell[_FULL],
+                                              obj._cell[_VALUE]))
             elif isinstance(obj, AsyncArray):
                 entries.append(asyncarray_entry(
-                    name, [(cell._full, cell._value)
-                           for cell in obj._cells]))
+                    name, [(var._cell[_FULL], var._cell[_VALUE])
+                           for var in obj._cells]))
             elif isinstance(obj, AskforMonitor):
                 entries.append(askfor_entry(
                     name, list(obj._items),
                     total_put=obj.total_put,
                     total_got=obj.total_got,
                     max_depth=obj.max_depth,
-                    done=obj._done))
+                    done=obj.done))
             else:
                 raise CheckpointError(
                     f"shared object {name!r} "
@@ -615,46 +651,49 @@ class Force:
         return entries
 
     def _materialize_shared(self, doc: dict[str, Any]) -> None:
-        """Rebuild the heap registry from a snapshot (any nproc)."""
+        """Rebuild the snapshot's constructs (any nproc).
+
+        Runs through the public creators, so the registry (and, on the
+        process backend, the arena allocation order) is exactly what a
+        fresh run would build.
+        """
         for entry in doc["payload"]["constructs"]:
             name, kind = entry["name"], entry["kind"]
-            obj: Any
-            if kind == "counter":
-                obj = SharedCounter(entry["value"])
-            elif kind == "array":
-                obj = decode_array(entry)
-            elif kind == "asyncvar":
-                obj = AsyncVariable(entry["value"],
-                                    full=entry["full"],
-                                    cancel=self._cancel,
-                                    on_block=self._asyncvar_hook(name),
-                                    tracer=self._tracer,
-                                    injector=self._injector,
-                                    name=name)
-            elif kind == "asyncarray":
-                cells = entry["cells"]
-                obj = AsyncArray(len(cells), cancel=self._cancel,
-                                 on_block=self._asyncvar_hook(name),
-                                 tracer=self._tracer,
-                                 injector=self._injector, name=name)
-                for cell, (full, value) in zip(obj._cells, cells):
-                    cell._full = bool(full)
-                    cell._value = value
-            elif kind == "askfor":
-                obj = AskforMonitor(list(entry["items"]),
-                                    cancel=self._cancel,
-                                    tracer=self._tracer,
-                                    injector=self._injector,
-                                    name=name)
-                obj.total_put = int(entry["total_put"])
-                obj.total_got = int(entry["total_got"])
-                obj.max_depth = int(entry["max_depth"])
-                obj._done = bool(entry["done"])
-            else:   # pragma: no cover - gated by validate_checkpoint
+            try:
+                self._materialize_one(name, kind, entry)
+            except (ForceError, TypeError, ValueError) as exc:
                 raise CheckpointError(
-                    f"unknown construct kind {kind!r}")
-            with self._registry_lock:
-                self._shared[name] = obj
+                    f"cannot restore {kind} {name!r} into the "
+                    f"{self.backend} backend: {exc}") from exc
+
+    def _materialize_one(self, name: str, kind: str,
+                         entry: dict[str, Any]) -> None:
+        if kind == "counter":
+            self.shared_counter(name, initial=entry["value"])
+        elif kind == "array":
+            array = decode_array(entry)
+            np.copyto(self.shared_array(name, array.shape,
+                                        dtype=array.dtype), array)
+        elif kind == "asyncvar":
+            var = self.async_var(name)
+            if entry["full"]:
+                var._cell[_VALUE] = entry["value"]
+                var._cell[_FULL] = True
+        elif kind == "asyncarray":
+            cells = entry["cells"]
+            array = self.async_array(name, len(cells))
+            for var, (full, value) in zip(array._cells, cells):
+                if full:
+                    var._cell[_VALUE] = value
+                    var._cell[_FULL] = True
+        elif kind == "askfor":
+            pool = self.askfor(name, initial=list(entry["items"]))
+            pool._restore(total_put=entry["total_put"],
+                          total_got=entry["total_got"],
+                          max_depth=entry["max_depth"],
+                          done=entry["done"])
+        else:   # pragma: no cover - gated by validate_checkpoint
+            raise CheckpointError(f"unknown construct kind {kind!r}")
 
     def barrier(self, me: int | None = None) -> None:
         """Wait for the whole force (§3.4).
@@ -728,14 +767,14 @@ class Force:
     def critical(self, name: str = "default"):
         """Named critical section: mutual exclusion across the force."""
         with self._registry_lock:
-            # Check-then-insert, NOT setdefault(name, threading.Lock()):
+            # Check-then-insert, NOT setdefault(name, self._new_lock()):
             # setdefault evaluates its default eagerly, allocating (and
-            # discarding) a fresh Lock on every pass through an already
+            # discarding) a fresh lock on every pass through an already
             # -registered section — churn on the hot path, while holding
             # the registry lock.
             lock = self._criticals.get(name)
             if lock is None:
-                lock = threading.Lock()
+                lock = self._new_lock(name)
                 self._criticals[name] = lock
         tracer, metrics = self._tracer, self._metrics
         injector = self._injector
@@ -810,7 +849,7 @@ class Force:
             raise ForceError("selfsched chunk must be >= 1")
         if schedule is None:
             schedule = "chunked" if chunk > 1 else "self"
-        if schedule not in ("self", "chunked", "guided"):
+        if schedule not in SCHEDULES:
             raise ForceError(
                 f"unknown selfsched schedule {schedule!r}: "
                 "expected 'self', 'chunked' or 'guided'")
@@ -821,16 +860,9 @@ class Force:
         with self._registry_lock:
             loop = self._loops.get(label)
             if loop is None:
-                loop = _SelfschedLoop(self.nproc, cancel=self._cancel,
-                                      metrics=self._metrics,
-                                      tracer=self._tracer,
-                                      injector=self._injector,
-                                      dead_check=self._dead_workers,
-                                      label=label,
-                                      chunk=chunk,
-                                      schedule=schedule)
+                loop = self._new_loop(label, chunk, schedule)
                 self._loops[label] = loop
-            elif loop.chunk != chunk or loop.schedule != schedule:
+            if loop.chunk != chunk or loop.schedule != schedule:
                 raise ForceError(
                     f"selfsched '{label}': conflicting policy "
                     f"(existing {loop.schedule!r} chunk={loop.chunk}, "
@@ -864,58 +896,102 @@ class Force:
     def askfor(self, name: str, initial: list | None = None
                ) -> AskforMonitor:
         """The named Askfor work pool (created on first use)."""
-        return self._get_shared(
-            name, lambda: AskforMonitor(initial, cancel=self._cancel,
-                                        tracer=self._tracer,
-                                        injector=self._injector,
-                                        name=name))
+        return self._get_shared(name, "askfor",
+                                lambda: self._new_askfor(name, initial))
 
     def resolve(self, name: str, weights: dict[str, float]) -> Resolve:
         """Partition the force into weighted components (extension)."""
         return self._get_shared(
-            name, lambda: Resolve(self.nproc, weights, cancel=self._cancel))
+            name, "resolve",
+            lambda: Resolve(self.nproc, weights, cancel=self._cancel))
 
     # ------------------------------------------------------------------
     # variables
     # ------------------------------------------------------------------
     def shared_counter(self, name: str, initial: Any = 0) -> SharedCounter:
         """A named shared scalar (guard updates with ``critical``)."""
-        return self._get_shared(name, lambda: SharedCounter(initial))
+        return self._get_shared(name, "shared_counter",
+                                lambda: self._new_counter(name, initial))
 
     def shared_array(self, name: str, shape, dtype=np.float64) -> np.ndarray:
         """A named shared numpy array (zero-initialised)."""
-        return self._get_shared(name, lambda: np.zeros(shape, dtype=dtype))
+        return self._get_shared(
+            name, "shared_array",
+            lambda: self._new_array(name, shape, dtype))
 
     def async_var(self, name: str) -> AsyncVariable:
         """A named asynchronous (full/empty) variable."""
-        return self._get_shared(
-            name, lambda: AsyncVariable(cancel=self._cancel,
-                                        on_block=self._asyncvar_hook(name),
-                                        tracer=self._tracer,
-                                        injector=self._injector,
-                                        name=name))
+        return self._get_shared(name, "async_var",
+                                lambda: self._new_async_var(name))
 
     def async_array(self, name: str, size: int) -> AsyncArray:
         """A named array of full/empty cells."""
-        return self._get_shared(
-            name, lambda: AsyncArray(size, cancel=self._cancel,
-                                     on_block=self._asyncvar_hook(name),
-                                     tracer=self._tracer,
-                                     injector=self._injector,
-                                     name=name))
+        if size <= 0:
+            raise ForceError("AsyncArray size must be positive")
+        array = self._get_shared(
+            name, "async_array", lambda: self._new_async_array(name, size))
+        if len(array) != size:
+            raise ForceError(
+                f"async_array '{name}' already exists with "
+                f"{len(array)} cells, not {size}")
+        return array
 
     def _asyncvar_hook(self, name: str) -> Callable[[float], None] | None:
         metrics = self._metrics
         return None if metrics is None \
             else partial(metrics.asyncvar_block, name)
 
-    def _get_shared(self, name: str, factory: Callable[[], Any]) -> Any:
+    def _get_shared(self, name: str, kind: str,
+                    factory: Callable[[], Any]) -> Any:
         with self._registry_lock:
             obj = self._shared.get(name)
             if obj is None:
                 obj = factory()
                 self._shared[name] = obj
+                self._kinds[name] = kind
+            elif self._kinds[name] != kind:
+                raise _name_clash(f"s:{name}", self._kinds[name], kind)
             return obj
+
+    # -- construct storage ---------------------------------------------
+    # Each construct's protocol lives in its class; these factories
+    # supply its storage.  The thread backend keeps state on the heap;
+    # the process backend overrides them to hand in arena storage.
+    def _new_lock(self, name: str) -> Any:
+        return threading.Lock()
+
+    def _new_loop(self, label: str, chunk: int, schedule: str,
+                  **storage: Any) -> _SelfschedLoop:
+        return _SelfschedLoop(self.nproc, cancel=self._cancel,
+                              metrics=self._metrics, tracer=self._tracer,
+                              injector=self._injector,
+                              dead_check=self._dead_workers, label=label,
+                              chunk=chunk, schedule=schedule, **storage)
+
+    def _new_askfor(self, name: str, initial: list | None,
+                    **storage: Any) -> AskforMonitor:
+        return AskforMonitor(initial, cancel=self._cancel,
+                             tracer=self._tracer, injector=self._injector,
+                             name=name, **storage)
+
+    def _new_counter(self, name: str, initial: Any) -> Any:
+        return SharedCounter(initial)
+
+    def _new_array(self, name: str, shape, dtype) -> np.ndarray:
+        return np.zeros(shape, dtype=dtype)
+
+    def _new_async_var(self, name: str, **storage: Any) -> AsyncVariable:
+        return AsyncVariable(cancel=self._cancel,
+                             on_block=self._asyncvar_hook(name),
+                             tracer=self._tracer, injector=self._injector,
+                             name=name, **storage)
+
+    def _new_async_array(self, name: str, size: int,
+                         **storage: Any) -> AsyncArray:
+        return AsyncArray(size, cancel=self._cancel,
+                          on_block=self._asyncvar_hook(name),
+                          tracer=self._tracer, injector=self._injector,
+                          name=name, **storage)
 
     # ------------------------------------------------------------------
     # observability
@@ -967,13 +1043,11 @@ class Force:
     def _settled_registry(self) -> MetricsRegistry:
         """The run's registry with the askfor gauges sampled (pools
         only know their totals after the run)."""
-        with self._registry_lock:
-            pools = [(name, obj) for name, obj in self._shared.items()
-                     if isinstance(obj, AskforMonitor)]
-        for name, pool in pools:
-            self._metrics.askfor(name, total_put=pool.total_put,
-                                 total_got=pool.total_got,
-                                 max_depth=pool.max_depth)
+        for name, pool in self._shared_objects():
+            if isinstance(pool, AskforMonitor):
+                self._metrics.askfor(name, total_put=pool.total_put,
+                                     total_got=pool.total_got,
+                                     max_depth=pool.max_depth)
         return self._metrics.registry
 
     @property

@@ -11,6 +11,22 @@ shared-memory segment (:class:`repro.machines.memory.SharedArena`)
 and accesses it through numpy views, so workers bypass the GIL
 entirely.
 
+As in the paper, where only locks, shared-memory binding and process
+create/join are rewritten per machine, this module is the backend's
+machine-dependent layer and nothing more: the arena layout, the name
+registry, the poison word and pickled-error slot, pid liveness and the
+worker lifecycle (fork, ship, absorb, unlink).  Every construct
+protocol exists once, in the module that holds it for both backends —
+the revalidating wait in :class:`~repro.runtime.cancel.CancelToken`,
+selfscheduled dispatch in ``force._SelfschedLoop``, full/empty
+variables in :mod:`repro.runtime.asyncvar`, Askfor termination in
+:mod:`repro.runtime.askfor`, and the injection/trace/metrics wrappers
+of ``barrier``/``barrier_section``/``critical`` in
+:class:`~repro.runtime.force.Force`.  This backend reaches them by
+handing in its storage (arena words for the state, the askfor ring,
+the critical lock words), its cross-process bus as their condition,
+and :class:`_ArenaCancelToken`, whose poison flag lives in the arena.
+
 The public API is the thread backend's, unchanged:
 
 * constructs: ``barrier`` / ``barrier_section`` / ``critical`` /
@@ -36,7 +52,8 @@ Contract differences (documented in ``docs/LANGUAGE.md``):
   front with a clear error) — the groundwork distributed execution
   needs;
 * shared values are **numeric** (float64 cells); arbitrary Python
-  objects cannot live in shared memory;
+  objects cannot live in shared memory, and an askfor pool holds at
+  most 4,096 outstanding items;
 * shared-memory lifetime is owned by the parent: the segment is
   unlinked in a ``finally`` covering normal exit, injected deaths,
   cancellation and timeouts — no leaked ``/dev/shm`` entries.
@@ -49,7 +66,6 @@ import os
 import pickle
 import queue as queue_module
 import threading
-from contextlib import contextmanager
 from time import monotonic, sleep
 from typing import Any, Callable, Iterator
 
@@ -62,22 +78,19 @@ from repro._util.errors import (
 )
 from repro.faults.injector import FaultInjector, InjectedDeath
 from repro.machines.memory import SharedArena, sweep_stale_arenas
-from repro.runtime.cancel import (
-    REVALIDATE_CAP_FACTOR,
-    REVALIDATE_GROWTH,
-    ForceCancelled,
+from repro.runtime.askfor import _DEPTH, _PUT, AskforMonitor
+from repro.runtime.asyncvar import _FULL, AsyncArray, AsyncVariable
+from repro.runtime.barriers import Barrier
+from repro.runtime.cancel import CancelToken, ForceCancelled
+from repro.runtime.checkpoint import CheckpointError
+from repro.runtime.force import (
+    SCHEDULES,
+    Force,
+    ForceProgramError,
+    SharedCounter,
+    _name_clash,
+    _SelfschedLoop,
 )
-from repro.runtime.checkpoint import (
-    CheckpointError,
-    array_entry,
-    askfor_entry,
-    asyncarray_entry,
-    asyncvar_entry,
-    build_checkpoint,
-    counter_entry,
-    decode_array,
-)
-from repro.runtime.force import Force, ForceProgramError
 from repro.obsv.metrics import ForceMetrics
 from repro.trace.collector import TraceCollector
 from repro.trace.events import TraceEvent
@@ -113,8 +126,6 @@ _KIND_LABEL = {
 _DTYPES = {1: np.float64, 2: np.int64, 3: np.bool_,
            4: np.int32, 5: np.float32}
 _DTYPE_CODES = {np.dtype(d): code for code, d in _DTYPES.items()}
-
-_SCHEDULES = ("self", "chunked", "guided")
 
 
 def _pid_alive(pid: int) -> bool:
@@ -161,8 +172,143 @@ class _SharedHitInjector(FaultInjector):
             return due
 
 
-class _ShmCounter:
-    """:class:`SharedCounter` twin over one float64 arena cell."""
+class _ArenaCancelToken(CancelToken):
+    """The force's :class:`CancelToken` with its poison flag in the arena.
+
+    ``cancel`` records the first error in the poison word and the
+    pickled-error slot and wakes every waiter on the bus; ``check``
+    and ``error`` read them back, so any member's failure cancels every
+    member.  Each construct waits on the bus, which ``cancel`` always
+    notifies, so conditions need no registration.
+    """
+
+    __slots__ = ("_arena", "_bus", "_word", "_slot")
+
+    def __init__(self, arena: SharedArena, bus, **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        self._arena = arena
+        self._bus = bus
+        self._word = arena.alloc_view(2)        # [flag, error length]
+        self._slot = arena.alloc(_ERROR_CAPACITY)
+
+    @property
+    def cancelled(self) -> bool:
+        return bool(self._word[0])
+
+    @property
+    def error(self) -> BaseException | None:
+        if not self._word[0]:
+            return None
+        length = int(self._word[1])
+        if length <= 0:
+            return ForceError("force cancelled (unrecorded error)")
+        raw = bytes(self._arena.view(self._slot, length, np.uint8))
+        try:
+            return pickle.loads(raw)
+        except Exception:       # pragma: no cover - defensive
+            return ForceError("force cancelled (undecodable error)")
+
+    def register(self, condition) -> None:
+        pass
+
+    def cancel(self, error: BaseException | None = None) -> None:
+        with self._bus:
+            if self._word[0]:
+                return
+            try:
+                raw = pickle.dumps(error)
+            except Exception:
+                raw = pickle.dumps(ForceError(str(error)))
+            if len(raw) > _ERROR_CAPACITY:
+                raw = pickle.dumps(ForceError(str(error)[:1024]))
+            view = self._arena.view(self._slot, len(raw), np.uint8)
+            view[:] = np.frombuffer(raw, dtype=np.uint8)
+            self._word[1] = len(raw)
+            self._word[0] = 1
+            self._bus.notify_all()
+
+    def check(self) -> None:
+        if self._word[0]:
+            raise ForceCancelled(self.error)
+
+
+class _ArenaBarrier(Barrier):
+    """Sense-reversing central counter over ``[count, sense]`` words.
+
+    Arrivals wait on the bus; a member that died can never arrive, so
+    the dead-worker hazard poisons the episode instead of waiting.
+    """
+
+    def __init__(self, force: "ProcessForce") -> None:
+        super().__init__(force.nproc, cancel=force._cancel)
+        self._bus = force._bus
+        self._words = force._arena.alloc_view(2)
+        self._dead_workers = force._dead_workers
+
+    def wait(self, me: int) -> bool:
+        return self._arrive(None)
+
+    def run_section(self, me: int, section: Callable[[], None]) -> None:
+        self._arrive(section)
+
+    def _hazard(self) -> ForceWorkerDied | None:
+        dead = self._dead_workers()
+        if dead:
+            return ForceWorkerDied(
+                min(dead), "barrier",
+                detail="the barrier episode cannot complete")
+        return None
+
+    def _arrive(self, section: Callable[[], None] | None) -> bool:
+        words, bus = self._words, self._bus
+        with bus:
+            self._cancel.check()
+            sense = int(words[1])
+            words[0] += 1
+            if words[0] == self.nproc:
+                # Every peer is parked on the bus: the quiescent cut.
+                if section is not None:
+                    section()
+                words[0] = 0
+                words[1] = 1 - sense
+                bus.notify_all()
+                return True
+            self._cancel.wait_for(bus, lambda: int(words[1]) != sense,
+                                  what="barrier", hazard=self._hazard)
+            return False
+
+
+class _WordLock:
+    """A lock over one arena word, with the ``threading.Lock`` protocol.
+
+    The word is read and written under the bus; a waiter sleeps on the
+    bus and is woken by ``release``.
+    """
+
+    __slots__ = ("_word", "_bus")
+
+    def __init__(self, word: np.ndarray, bus) -> None:
+        self._word = word
+        self._bus = bus
+
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        word = self._word
+        with self._bus:
+            if word[0] and not (blocking and self._bus.wait_for(
+                    lambda: not word[0],
+                    None if timeout < 0 else timeout)):
+                return False
+            word[0] = 1
+            return True
+
+    def release(self) -> None:
+        with self._bus:
+            self._word[0] = 0
+            self._bus.notify_all()
+
+
+class _ShmCounter(SharedCounter):
+    """:class:`SharedCounter` over one float64 arena cell."""
 
     __slots__ = ("_cell",)
 
@@ -178,385 +324,99 @@ class _ShmCounter:
         self._cell[0] = new
 
 
-class _ShmAsyncVariable:
-    """Full/empty variable over [int64 flag, float64 value] cells."""
+class _ArenaCell:
+    """``[full, value]`` of a full/empty variable: an int64 flag word
+    followed by a float64 value word."""
 
-    __slots__ = ("_force", "_name", "_flag", "_value")
+    __slots__ = ("_flag", "_value")
 
-    def __init__(self, force: "ProcessForce", name: str,
-                 flag: np.ndarray, value: np.ndarray) -> None:
-        self._force = force
-        self._name = name
-        self._flag = flag
-        self._value = value
+    def __init__(self, arena: SharedArena, offset: int) -> None:
+        self._flag = arena.view(offset, 1)
+        self._value = arena.view(offset + 8, 1, np.float64)
 
-    def _fire(self, op: str) -> None:
-        injector = self._force._injector
-        if injector is not None:
-            injector.fire(f"asyncvar.{op}", self._name)
-
-    def _notify_all(self, op: str) -> None:
-        injector = self._force._injector
-        if injector is not None and \
-                injector.swallow_notify(f"asyncvar.{op}", self._name):
-            return
-        self._force._bus.notify_all()
-
-    @property
-    def isfull(self) -> bool:
-        with self._force._bus:
+    def __getitem__(self, index: int) -> Any:
+        if index == _FULL:
             return bool(self._flag[0])
+        return self._value[0].item()
 
-    def _await(self, predicate: Callable[[], bool],
-               timeout: float | None, failure: str, op: str) -> None:
-        """Wait (bus held) until predicate; cancel/metrics/trace aware."""
-        if predicate():
-            return
-        force = self._force
-        tracer, metrics = force._tracer, force._metrics
-        observed = tracer is not None or metrics is not None
-        started = monotonic() if observed else 0.0
-        if tracer is not None:
-            tracer.mark_parked("asyncvar", self._name)
-        try:
-            what = f"asyncvar '{self._name}'" if self._name \
-                else "asyncvar"
-            satisfied = force._await(predicate, what, timeout=timeout)
-            if not satisfied:
-                raise ForceError(failure)
-        finally:
-            if tracer is not None:
-                tracer.clear_parked()
-                waited = monotonic() - started
-                tracer.record("asyncvar", self._name, op, phase="X",
-                              ts=tracer.now() - waited, dur=waited)
-            if metrics is not None:
-                metrics.asyncvar_block(self._name,
-                                       monotonic() - started)
-
-    def produce(self, value: Any, *,
-                timeout: float | None = None) -> None:
-        self._fire("produce")
-        with self._force._bus:
-            self._await(lambda: not self._flag[0], timeout,
-                        "produce timed out (variable stayed full)",
-                        "produce")
-            self._value[0] = value
-            self._flag[0] = 1
-            self._notify_all("produce")
-
-    def consume(self, *, timeout: float | None = None) -> float:
-        self._fire("consume")
-        with self._force._bus:
-            self._await(lambda: bool(self._flag[0]), timeout,
-                        "consume timed out (variable stayed empty)",
-                        "consume")
-            value = self._value[0].item()
-            self._flag[0] = 0
-            self._notify_all("consume")
-            return value
-
-    def copy(self, *, timeout: float | None = None) -> float:
-        self._fire("copy")
-        with self._force._bus:
-            self._await(lambda: bool(self._flag[0]), timeout,
-                        "copy timed out (variable stayed empty)",
-                        "copy")
-            return self._value[0].item()
-
-    def void(self) -> None:
-        self._fire("void")
-        with self._force._bus:
-            self._flag[0] = 0
-            self._notify_all("void")
+    def __setitem__(self, index: int, item: Any) -> None:
+        (self._flag if index == _FULL else self._value)[0] = item
 
 
-class _ShmAsyncArray:
-    """Array of full/empty cells over the arena."""
-
-    def __init__(self, cells: list[_ShmAsyncVariable]) -> None:
-        self._cells = cells
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def __getitem__(self, index: int) -> _ShmAsyncVariable:
-        return self._cells[index]
-
-    def produce(self, index: int, value: Any, **kw) -> None:
-        self._cells[index].produce(value, **kw)
-
-    def consume(self, index: int, **kw) -> float:
-        return self._cells[index].consume(**kw)
-
-    def copy(self, index: int, **kw) -> float:
-        return self._cells[index].copy(**kw)
-
-    def void_all(self) -> None:
-        for cell in self._cells:
-            cell.void()
-
-
-# askfor control-word indices
-_AF_HEAD, _AF_TAIL, _AF_DONE, _AF_PUT, _AF_GOT, _AF_DEPTH = range(6)
+# askfor control block: the pool's state words, the ring's head and
+# tail, then one holder word per process
+_AF_HEAD, _AF_TAIL = 4, 5
 _AF_CTRL = 8
 
 
-class _ShmAskforMonitor:
-    """Askfor monitor over a shared numeric ring.
+class _ArenaRing:
+    """An Askfor pool's queue: a float64 ring over the arena."""
 
-    Same termination/drain contract as
-    :class:`~repro.runtime.askfor.AskforMonitor`: ``get`` drains queued
-    items before declaring termination, a ``put`` after termination
-    raises, and a worker that dies holding an item is detected through
-    the pid table (dead-holder hazard) and poisons the force with
-    :class:`ForceWorkerDied`.
-    """
+    __slots__ = ("_ends", "_ring", "_name")
 
-    def __init__(self, force: "ProcessForce", name: str,
-                 ctrl: np.ndarray, holder: np.ndarray,
-                 ring: np.ndarray) -> None:
-        self._force = force
-        self._name = name
-        self._ctrl = ctrl
-        self._holder = holder
+    def __init__(self, ends: np.ndarray, ring: np.ndarray,
+                 name: str) -> None:
+        self._ends = ends           # [head, tail]
         self._ring = ring
+        self._name = name
 
-    def _describe(self) -> str:
-        return f"askfor '{self._name}'" if self._name else "askfor"
+    def __len__(self) -> int:
+        return int(self._ends[1] - self._ends[0])
 
-    # -- counters (shared, so every process sees the same totals) ------
-    @property
-    def total_put(self) -> int:
-        return int(self._ctrl[_AF_PUT])
+    def __iter__(self) -> Iterator[float]:
+        for index in range(int(self._ends[0]), int(self._ends[1])):
+            yield self._ring[index % len(self._ring)].item()
 
-    @property
-    def total_got(self) -> int:
-        return int(self._ctrl[_AF_GOT])
+    def append(self, item: float) -> None:
+        if len(self) >= len(self._ring):
+            raise _ring_full(self._name)
+        self._ring[int(self._ends[1]) % len(self._ring)] = item
+        self._ends[1] += 1
 
-    @property
-    def max_depth(self) -> int:
-        return int(self._ctrl[_AF_DEPTH])
-
-    def _depth(self) -> int:
-        return int(self._ctrl[_AF_TAIL] - self._ctrl[_AF_HEAD])
-
-    def put(self, item: float) -> None:
-        force = self._force
-        injector = force._injector
-        with force._bus:
-            if self._ctrl[_AF_DONE]:
-                raise ForceError("putwork after the pool terminated")
-            if self._depth() >= len(self._ring):
-                raise ForceError(
-                    f"askfor '{self._name}': shared ring full "
-                    f"({len(self._ring)} outstanding items)")
-            self._ring[int(self._ctrl[_AF_TAIL]) % len(self._ring)] = \
-                item
-            self._ctrl[_AF_TAIL] += 1
-            self._ctrl[_AF_PUT] += 1
-            if self._depth() > self._ctrl[_AF_DEPTH]:
-                self._ctrl[_AF_DEPTH] = self._depth()
-            if force._tracer is not None:
-                force._tracer.record("askfor", self._name, "put",
-                                     depth=self._depth())
-            if injector is None or \
-                    not injector.swallow_notify("askfor.put",
-                                                self._name):
-                force._bus.notify_all()
-        if injector is not None:
-            injector.fire("askfor.put", self._name)
-
-    def get(self) -> tuple[bool, Any]:
-        force = self._force
-        tracer = force._tracer
-        me = force._resolve_me(None)
-        with force._bus:
-            if self._holder[me - 1]:
-                self._holder[me - 1] = 0
-                force._bus.notify_all()
-            wait_started: float | None = None
-            while True:
-                force._check_poison()
-                if self._depth() > 0:
-                    self._holder[me - 1] = 1
-                    self._ctrl[_AF_GOT] += 1
-                    item = self._ring[int(self._ctrl[_AF_HEAD])
-                                      % len(self._ring)].item()
-                    self._ctrl[_AF_HEAD] += 1
-                    if tracer is not None:
-                        self._trace_wait_end(wait_started)
-                        tracer.record("askfor", self._name, "got",
-                                      depth=self._depth())
-                    break
-                if self._ctrl[_AF_DONE] or \
-                        int(self._holder.sum()) == 0:
-                    self._ctrl[_AF_DONE] = 1
-                    force._bus.notify_all()
-                    if tracer is not None:
-                        self._trace_wait_end(wait_started)
-                        tracer.record("askfor", self._name,
-                                      "terminated")
-                    return False, None
-                if tracer is not None and wait_started is None:
-                    wait_started = monotonic()
-                    tracer.mark_parked("askfor", self._name)
-                force._await(
-                    lambda: self._depth() > 0 or
-                    bool(self._ctrl[_AF_DONE]) or
-                    int(self._holder.sum()) == 0,
-                    self._describe(),
-                    hazard=self._dead_holder_hazard)
-        if force._injector is not None:
-            force._injector.fire("askfor.got", self._name)
-        return True, item
-
-    def _dead_holder_hazard(self) -> ForceWorkerDied | None:
-        """A holder process that died strands the pool: poison it."""
-        force = self._force
-        for other in range(1, force.nproc + 1):
-            if not self._holder[other - 1]:
-                continue
-            if other in force._dead_workers():
-                self._holder[other - 1] = 0
-                if force._tracer is not None:
-                    force._tracer.record("askfor", self._name,
-                                         "dead-holder", proc=other)
-                return ForceWorkerDied(
-                    other, self._describe(),
-                    detail="died while holding a work item")
-        return None
-
-    def _trace_wait_end(self, wait_started: float | None) -> None:
-        if wait_started is None:
-            return
-        tracer = self._force._tracer
-        tracer.clear_parked()
-        waited = monotonic() - wait_started
-        tracer.record("askfor", self._name, "wait", phase="X",
-                      ts=tracer.now() - waited, dur=waited)
-
-    def __iter__(self) -> Iterator[Any]:
-        while True:
-            got, item = self.get()
-            if not got:
-                return
-            yield item
+    def popleft(self) -> float:
+        item = self._ring[int(self._ends[0]) % len(self._ring)].item()
+        self._ends[0] += 1
+        return item
 
 
-# selfsched record indices
-_SL_PHASE, _SL_INSIDE, _SL_NEXT, _SL_CHUNK, _SL_SCHED = range(5)
-_SL_WORDS = 8
+def _ring_full(name: str) -> ForceError:
+    return ForceError(f"askfor '{name}': shared ring full "
+                      f"({_ASKFOR_RING} outstanding items)")
 
 
-class _ShmSelfschedLoop:
-    """Selfscheduled-loop protocol over an arena record.
+class _ArenaHolders:
+    """Askfor holder table: one arena word per process.  A holder is
+    dead when its process is (death record or pid gone)."""
 
-    Mirrors :class:`repro.runtime.force._SelfschedLoop` — entry phase,
-    shared-index dispatch, exit phase in a ``finally`` (skipped on
-    injected death by design, so peers detect the stranded protocol
-    through the dead-worker hazard).
-    """
+    __slots__ = ("_words", "_force")
 
-    def __init__(self, force: "ProcessForce", label: str,
-                 record: np.ndarray) -> None:
+    def __init__(self, words: np.ndarray, force: "ProcessForce") -> None:
+        self._words = words
         self._force = force
-        self._label = label
-        self._record = record
 
-    @property
-    def chunk(self) -> int:
-        return int(self._record[_SL_CHUNK])
+    def __len__(self) -> int:
+        return int(self._words.sum())
 
-    @property
-    def schedule(self) -> str:
-        return _SCHEDULES[int(self._record[_SL_SCHED])]
+    def claim(self) -> None:
+        self._words[self._force._resolve_me(None) - 1] = 1
 
-    def _describe(self) -> str:
-        return f"selfsched '{self._label}'" if self._label \
-            else "selfsched"
+    def release(self) -> bool:
+        slot = self._force._resolve_me(None) - 1
+        held = bool(self._words[slot])
+        self._words[slot] = 0
+        return held
 
-    def _dead_hazard(self) -> ForceWorkerDied | None:
-        dead = self._force._dead_workers()
-        if dead:
-            return ForceWorkerDied(
-                min(dead), self._describe(),
-                detail="the loop protocol cannot complete")
+    def reap(self) -> int | None:
+        for me in self._force._dead_workers():
+            if self._words[me - 1]:
+                self._words[me - 1] = 0
+                return me
         return None
 
-    def iterate(self, first: int, last: int,
-                step: int) -> Iterator[int]:
-        if step == 0:
-            raise ForceError("selfsched step must be nonzero")
-        force = self._force
-        record = self._record
-        tracer, metrics = force._tracer, force._metrics
-        nproc = force.nproc
-        if tracer is not None:
-            tracer.mark_parked("selfsched", self._label)
-        with force._bus:
-            force._await(lambda: record[_SL_PHASE] == 0,
-                         self._describe(), hazard=self._dead_hazard)
-            if record[_SL_INSIDE] == 0:
-                record[_SL_NEXT] = first
-            record[_SL_INSIDE] += 1
-            if record[_SL_INSIDE] == nproc:
-                record[_SL_PHASE] = 1
-                force._bus.notify_all()
-        if tracer is not None:
-            tracer.clear_parked()
-        schedule = self.schedule
-        chunk = self.chunk
-        try:
-            while True:
-                with force._bus:
-                    force._check_poison()
-                    value = int(record[_SL_NEXT])
-                    if step > 0:
-                        remaining = (last - value) // step + 1 \
-                            if value <= last else 0
-                    else:
-                        remaining = (last - value) // step + 1 \
-                            if value >= last else 0
-                    if remaining <= 0:
-                        break
-                    if schedule == "guided":
-                        size = max(1, remaining // nproc)
-                    else:
-                        size = chunk
-                    if size > remaining:
-                        size = remaining
-                    record[_SL_NEXT] = value + size * step
-                if metrics is not None:
-                    metrics.selfsched_chunk(self._label, size)
-                if tracer is not None:
-                    tracer.record("selfsched", self._label, "chunk",
-                                  index=value, size=size)
-                if force._injector is not None:
-                    force._injector.fire("selfsched.chunk",
-                                         self._label)
-                for offset in range(size):
-                    yield value + offset * step
-        finally:
-            import sys
-            if isinstance(sys.exc_info()[1], InjectedDeath):
-                # Abrupt injected death: no cleanup by design — the
-                # surviving processes' dead-worker hazard must detect
-                # the stranded protocol.
-                pass
-            else:
-                if tracer is not None:
-                    tracer.mark_parked("selfsched", self._label)
-                with force._bus:
-                    force._await(lambda: record[_SL_PHASE] == 1,
-                                 self._describe(),
-                                 hazard=self._dead_hazard)
-                    record[_SL_INSIDE] -= 1
-                    if record[_SL_INSIDE] == 0:
-                        record[_SL_PHASE] = 0
-                        force._bus.notify_all()
-                if tracer is not None:
-                    tracer.clear_parked()
+
+# selfsched record: the loop's state words, then its policy
+_SL_CHUNK, _SL_SCHED = 3, 4
+_SL_WORDS = 8
 
 
 class ProcessForce(Force):
@@ -615,11 +475,13 @@ class ProcessForce(Force):
         # spans would start from per-process origins).
         self._trace_epoch = monotonic()
         nproc = self.nproc
-        self._poison_v = arena.alloc_view(2)        # [flag, errlen]
-        self._error_off = arena.alloc(_ERROR_CAPACITY)
-        self._barrier_v = arena.alloc_view(2)       # [count, sense]
-        self._epoch_v = arena.alloc_view(1)         # barrier epoch
-        self._epoch_v[0] = self._barrier_epoch
+        self._cancel = _ArenaCancelToken(
+            arena, self._bus, construct_timeout=self.construct_timeout,
+            revalidate_interval=self.revalidate_interval)
+        self._barrier = _ArenaBarrier(self)
+        epoch = arena.alloc_view(1)
+        epoch[0] = self._epoch_word[0]
+        self._epoch_word = epoch
         self._pids_v = arena.alloc_view(nproc)
         self._shipped_v = arena.alloc_view(1)
         deaths_off = arena.alloc(nproc * _SITE_BYTES)
@@ -636,94 +498,6 @@ class ProcessForce(Force):
             count = len(self._fault_plan.faults)
             self._fault_hits = arena.alloc_view(max(count, 1))
             self._fault_fired = arena.alloc_view(max(count, 1))
-
-    # ------------------------------------------------------------------
-    # poison / cancellation (cross-process CancelToken semantics)
-    # ------------------------------------------------------------------
-    def _load_error(self) -> BaseException | None:
-        if self._arena is None or not self._poison_v[0]:
-            return None
-        length = int(self._poison_v[1])
-        if length <= 0:
-            return ForceError("force cancelled (unrecorded error)")
-        raw = bytes(self._arena.view(self._error_off, length,
-                                     np.uint8))
-        try:
-            return pickle.loads(raw)
-        except Exception:       # pragma: no cover - defensive
-            return ForceError("force cancelled (undecodable error)")
-
-    def _poison_locked(self, error: BaseException) -> None:
-        """Record the first failure (bus held); idempotent."""
-        if self._poison_v[0]:
-            return
-        try:
-            raw = pickle.dumps(error)
-        except Exception:
-            raw = pickle.dumps(ForceError(str(error)))
-        if len(raw) > _ERROR_CAPACITY:
-            raw = pickle.dumps(ForceError(str(error)[:1024]))
-        view = self._arena.view(self._error_off, len(raw), np.uint8)
-        view[:] = np.frombuffer(raw, dtype=np.uint8)
-        self._poison_v[1] = len(raw)
-        self._poison_v[0] = 1
-        self._bus.notify_all()
-
-    def _poison(self, error: BaseException) -> None:
-        with self._bus:
-            self._poison_locked(error)
-
-    def _check_poison(self) -> None:
-        if self._poison_v[0]:
-            raise ForceCancelled(self._load_error())
-
-    def _await(self, predicate: Callable[[], bool], what: str, *,
-               hazard: Callable[[], BaseException | None] | None = None,
-               timeout: float | None = None) -> bool:
-        """Poison-aware wait on the bus (bus must be held).
-
-        Mirrors :meth:`CancelToken.wait_for`: bounded revalidation
-        slices, hazard checks, and the construct deadline raising a
-        structured :class:`ForceDeadlockError` (explicit ``timeout``
-        returns False instead).
-        """
-        if timeout is not None:
-            deadline, is_construct = monotonic() + timeout, False
-        elif self.construct_timeout is not None:
-            deadline = monotonic() + self.construct_timeout
-            is_construct = True
-        else:
-            deadline, is_construct = None, False
-        interval = self.revalidate_interval
-        cap = interval * REVALIDATE_CAP_FACTOR
-        next_slice = interval
-        while True:
-            self._check_poison()
-            if predicate():
-                return True
-            if hazard is not None:
-                error = hazard()
-                if error is not None:
-                    self._poison_locked(error)
-                    raise error
-            slice_ = next_slice
-            next_slice = min(cap, next_slice * REVALIDATE_GROWTH)
-            if deadline is not None:
-                remaining = deadline - monotonic()
-                if remaining <= 0:
-                    if is_construct:
-                        error = ForceDeadlockError(
-                            f"construct deadline of "
-                            f"{self.construct_timeout}s exceeded "
-                            f"while parked on {what} "
-                            "(deadlock or dead partner?)",
-                            construct=what,
-                            timeout=self.construct_timeout)
-                        self._poison_locked(error)
-                        raise error
-                    return False
-                slice_ = min(slice_, remaining)
-            self._bus.wait(slice_)
 
     # ------------------------------------------------------------------
     # worker liveness
@@ -778,10 +552,8 @@ class ProcessForce(Force):
                 if names[index] == encoded:
                     have = int(meta[2 * index])
                     if have != kind:
-                        raise ForceError(
-                            f"shared object {key!r} already exists as "
-                            f"{_KIND_LABEL.get(have, have)}, not "
-                            f"{_KIND_LABEL.get(kind, kind)}")
+                        raise _name_clash(key, _KIND_LABEL[have],
+                                          _KIND_LABEL[kind])
                     return int(meta[2 * index + 1])
                 if names[index] == b"":
                     offset = creator()
@@ -793,45 +565,38 @@ class ProcessForce(Force):
             f"shared-object registry full ({_REGISTRY_CAPACITY} "
             "names)")
 
-    def _registry_entries(self, kind: int) -> list[tuple[str, int]]:
-        out = []
+    def _shared_objects(self) -> list[tuple[str, Any]]:
+        """Proxies over every named construct in the arena registry.
+
+        Empty once the arena is gone: the parent settles the askfor
+        gauges in :meth:`_absorb`, while it still exists.  Criticals
+        and loops hold no state at a quiescent cut and are skipped.
+        """
+        if self._arena is None:
+            return []
+        objects = []
         for index in range(_REGISTRY_CAPACITY):
             raw = self._registry_names[index]
             if raw == b"":
                 break
-            if int(self._registry_meta[2 * index]) == kind:
-                out.append((raw.decode("utf-8"),
-                            int(self._registry_meta[2 * index + 1])))
-        return out
-
-    # ------------------------------------------------------------------
-    # constructs
-    # ------------------------------------------------------------------
-    def _barrier_arrive(self,
-                        section: Callable[[], None] | None) -> bool:
-        bar = self._barrier_v
-        with self._bus:
-            self._check_poison()
-            sense = int(bar[1])
-            bar[0] += 1
-            if bar[0] == self.nproc:
-                if section is not None:
-                    section()
-                policy = self._checkpoint
-                if policy is not None:
-                    # Every peer is parked on the bus: the quiescent
-                    # cut.  Count the episode; snapshot every n-th.
-                    self._epoch_v[0] += 1
-                    epoch = int(self._epoch_v[0])
-                    if epoch % policy.every_n_barriers == 0:
-                        self._write_checkpoint(epoch)
-                bar[0] = 0
-                bar[1] = 1 - sense
-                self._bus.notify_all()
-                return True
-            self._await(lambda: int(bar[1]) != sense, "barrier",
-                        hazard=self._barrier_hazard)
-            return False
+            kind = int(self._registry_meta[2 * index])
+            offset = int(self._registry_meta[2 * index + 1])
+            name = raw.decode("utf-8")[2:]      # strip the "s:" prefix
+            if kind == _K_COUNTER:
+                obj = _ShmCounter(self._arena.view(offset, 1, np.float64))
+            elif kind == _K_ARRAY:
+                obj = self._array_view(offset)
+            elif kind == _K_ASYNC:
+                obj = self._new_async_var(name)
+            elif kind == _K_ASYNC_ARRAY:
+                obj = self._new_async_array(
+                    name, int(self._arena.view(offset, 1)[0]))
+            elif kind == _K_ASKFOR:
+                obj = self._new_askfor(name, None)
+            else:
+                continue
+            objects.append((name, obj))
+        return objects
 
     # ------------------------------------------------------------------
     # checkpoint / restore (over the arena)
@@ -849,15 +614,9 @@ class ProcessForce(Force):
             self._parent_events.append(TraceEvent(
                 ts=0.0, proc="main", kind="recover",
                 name="checkpoint", op="restore",
-                args={"epoch": self._barrier_epoch,
+                args={"epoch": self.barrier_epoch,
                       "snapshot_nproc": int(self._restore_doc["nproc"]),
                       "nproc": self.nproc}))
-
-    @property
-    def barrier_epoch(self) -> int:
-        if self._arena is not None:
-            return int(self._epoch_v[0])
-        return self._barrier_epoch
 
     def capture_state(self) -> dict[str, Any]:
         """Snapshot the arena (live) or the final-state doc (post-run).
@@ -873,9 +632,7 @@ class ProcessForce(Force):
                 "no state to capture: the process backend's arena "
                 "exists only inside run() (arm a checkpoint policy "
                 "to keep the final state)")
-        return build_checkpoint(epoch=self.barrier_epoch,
-                                nproc=self.nproc, backend=self.backend,
-                                constructs=self._capture_shared())
+        return super().capture_state()
 
     def _capture_shared(self) -> list[dict[str, Any]]:
         """Serialize every registered arena construct.
@@ -887,294 +644,78 @@ class ProcessForce(Force):
             raise CheckpointError(
                 "process-backend shared state exists only inside "
                 "run()")
-        arena = self._arena
-        entries: list[dict[str, Any]] = []
-        for key, offset in self._registry_entries(_K_COUNTER):
-            cell = arena.view(offset, 1, np.float64)
-            entries.append(counter_entry(key[2:], cell[0].item()))
-        for key, offset in self._registry_entries(_K_ARRAY):
-            header = arena.view(offset, 6)
-            dtype = np.dtype(_DTYPES[int(header[0])])
-            shape = tuple(int(header[2 + axis])
-                          for axis in range(int(header[1])))
-            count = int(np.prod(shape)) if shape else 1
-            data = arena.view(offset + 6 * 8, count, dtype)
-            entries.append(array_entry(key[2:], data.reshape(shape)))
-        for key, offset in self._registry_entries(_K_ASYNC):
-            full = bool(arena.view(offset, 1)[0])
-            value = arena.view(offset + 8, 1, np.float64)[0].item() \
-                if full else None
-            entries.append(asyncvar_entry(key[2:], full, value))
-        for key, offset in self._registry_entries(_K_ASYNC_ARRAY):
-            size = int(arena.view(offset, 1)[0])
-            cells = []
-            for index in range(size):
-                base = offset + 8 + 16 * index
-                full = bool(arena.view(base, 1)[0])
-                cells.append((full,
-                              arena.view(base + 8, 1,
-                                         np.float64)[0].item()
-                              if full else None))
-            entries.append(asyncarray_entry(key[2:], cells))
-        for key, ctrl_off in self._registry_entries(_K_ASKFOR):
-            ctrl = arena.view(ctrl_off, _AF_CTRL)
-            ring_off = ctrl_off + (_AF_CTRL + self.nproc) * 8
-            ring = arena.view(ring_off, _ASKFOR_RING, np.float64)
-            items = [ring[index % _ASKFOR_RING].item()
-                     for index in range(int(ctrl[_AF_HEAD]),
-                                        int(ctrl[_AF_TAIL]))]
-            entries.append(askfor_entry(
-                key[2:], items,
-                total_put=int(ctrl[_AF_PUT]),
-                total_got=int(ctrl[_AF_GOT]),
-                max_depth=int(ctrl[_AF_DEPTH]),
-                done=bool(ctrl[_AF_DONE])))
-        # Criticals are free and selfsched loops are between uses at
-        # a quiescent cut: nothing of theirs needs snapshotting.
-        return entries
+        return super()._capture_shared()
 
-    def _materialize_shared(self, doc: dict[str, Any]) -> None:
-        """Rebuild arena constructs from a snapshot (any nproc).
-
-        Runs parent-side through the public creators, so the registry
-        and allocation order are exactly what a fresh run would build.
-        """
-        for entry in doc["payload"]["constructs"]:
-            name, kind = entry["name"], entry["kind"]
-            try:
-                self._materialize_one(name, kind, entry)
-            except (ForceError, TypeError, ValueError) as exc:
-                raise CheckpointError(
-                    f"cannot restore {kind} {name!r} into the "
-                    f"process backend: {exc}") from exc
-
-    def _materialize_one(self, name: str, kind: str,
-                         entry: dict[str, Any]) -> None:
-        if kind == "counter":
-            self.shared_counter(name, initial=entry["value"])
-        elif kind == "array":
-            array = decode_array(entry)
-            view = self.shared_array(name, array.shape,
-                                     dtype=array.dtype)
-            np.copyto(view, array)
-        elif kind == "asyncvar":
-            var = self.async_var(name)
-            if entry["full"]:
-                var._value[0] = entry["value"]
-                var._flag[0] = 1
-        elif kind == "asyncarray":
-            cells = entry["cells"]
-            shadow = self.async_array(name, len(cells))
-            for cell, (full, value) in zip(shadow._cells, cells):
-                if full:
-                    cell._value[0] = value
-                    cell._flag[0] = 1
-        elif kind == "askfor":
-            pool = self.askfor(name, initial=list(entry["items"]))
-            ctrl = pool._ctrl
-            ctrl[_AF_PUT] = int(entry["total_put"])
-            ctrl[_AF_GOT] = int(entry["total_got"])
-            ctrl[_AF_DEPTH] = int(entry["max_depth"])
-            ctrl[_AF_DONE] = 1 if entry["done"] else 0
-        else:   # pragma: no cover - gated by validate_checkpoint
-            raise CheckpointError(f"unknown construct kind {kind!r}")
-
-    def _barrier_hazard(self) -> ForceWorkerDied | None:
-        dead = self._dead_workers()
-        if dead:
-            return ForceWorkerDied(
-                min(dead), "barrier",
-                detail="the barrier episode cannot complete")
-        return None
-
-    def barrier(self, me: int | None = None) -> None:
-        me = self._resolve_me(me)
-        injector = self._injector
-        if injector is not None:
-            injector.fire("barrier.entry", "barrier", me)
-        tracer, metrics = self._tracer, self._metrics
-        if tracer is None and metrics is None:
-            released = self._barrier_arrive(None)
-            if injector is not None and released:
-                injector.fire("barrier.episode", "barrier", me)
-            return
-        if tracer is not None:
-            tracer.mark_parked("barrier", "barrier")
-        started = monotonic()
-        released = self._barrier_arrive(None)
-        waited = monotonic() - started
-        if tracer is not None:
-            tracer.clear_parked()
-            tracer.record("barrier", "barrier", "wait", phase="X",
-                          ts=tracer.now() - waited, dur=waited)
-            if released:
-                tracer.record("barrier", "barrier", "episode")
-        if metrics is not None:
-            metrics.barrier(waited, released)
-        if injector is not None and released:
-            injector.fire("barrier.episode", "barrier", me)
-
-    def barrier_section(self, me: int,
-                        section: Callable[[], None]) -> None:
-        me = self._resolve_me(me)
-        injector = self._injector
-        if injector is not None:
-            injector.fire("barrier.entry", "barrier", me)
-        tracer, metrics = self._tracer, self._metrics
-        if tracer is None and metrics is None:
-            self._barrier_arrive(section)
-            return
-
-        def counted() -> None:
-            if tracer is not None:
-                tracer.record("barrier", "barrier", "episode")
-            if metrics is not None:
-                metrics.barrier_episode()
-            section()
-
-        if tracer is not None:
-            tracer.mark_parked("barrier", "barrier")
-        started = monotonic()
-        self._barrier_arrive(counted)
-        waited = monotonic() - started
-        if tracer is not None:
-            tracer.clear_parked()
-            tracer.record("barrier", "barrier", "wait", phase="X",
-                          ts=tracer.now() - waited, dur=waited)
-        if metrics is not None:
-            metrics.barrier_wait(waited)
-
-    def _critical_cell(self, name: str) -> np.ndarray:
+    # ------------------------------------------------------------------
+    # construct storage: arena words behind the shared protocols
+    # ------------------------------------------------------------------
+    def _new_lock(self, name: str) -> _WordLock:
         offset = self._locate(f"k:{name}", _K_CRITICAL,
                               lambda: self._arena.alloc(8))
-        cell = self._arena.view(offset, 1)
-        return cell
+        return _WordLock(self._arena.view(offset, 1), self._bus)
 
-    @contextmanager
-    def critical(self, name: str = "default"):
-        """Named critical section over a shared lock word."""
-        cell = self._critical_cell(name)
-        tracer, metrics = self._tracer, self._metrics
-        injector = self._injector
-        if injector is not None:
-            injector.fire("critical.acquire", name)
-        contended = False
-        waited = 0.0
-        timed = tracer is not None or metrics is not None
-        with self._bus:
-            self._check_poison()
-            if cell[0]:
-                contended = True
-                if tracer is not None:
-                    tracer.mark_parked("critical", name)
-                started = monotonic()
-                self._await(lambda: cell[0] == 0,
-                            f"critical '{name}'")
-                waited = monotonic() - started
-                if tracer is not None:
-                    tracer.clear_parked()
-            cell[0] = 1
-        held_from = monotonic() if timed else 0.0
-        try:
-            if injector is not None:
-                injector.fire("critical.hold", name)
-            yield
-        finally:
-            with self._bus:
-                cell[0] = 0
-                self._bus.notify_all()
-            if timed:
-                held = monotonic() - held_from
-                if tracer is not None:
-                    if contended:
-                        tracer.record("critical", name, "wait",
-                                      phase="X",
-                                      ts=tracer.now() - held - waited,
-                                      dur=waited)
-                    tracer.record("critical", name, "hold", phase="X",
-                                  ts=tracer.now() - held, dur=held)
-                if metrics is not None:
-                    metrics.critical(name, waited, contended, held)
-
-    def selfsched_range(self, label: str, first: int, last: int,
-                        step: int = 1, *, chunk: int = 1,
-                        schedule: str | None = None) -> Iterator[int]:
-        if chunk < 1:
-            raise ForceError("selfsched chunk must be >= 1")
-        if schedule is None:
-            schedule = "chunked" if chunk > 1 else "self"
-        if schedule not in _SCHEDULES:
-            raise ForceError(
-                f"unknown selfsched schedule {schedule!r}: "
-                "expected 'self', 'chunked' or 'guided'")
-        if schedule == "self" and chunk != 1:
-            raise ForceError(
-                "schedule 'self' hands out one iteration at a time; "
-                "use schedule='chunked' with chunk > 1")
-
+    def _new_loop(self, label: str, chunk: int,
+                  schedule: str) -> _SelfschedLoop:
         def create() -> int:
             offset = self._arena.alloc(_SL_WORDS * 8)
             record = self._arena.view(offset, _SL_WORDS)
             record[:] = 0
             record[_SL_CHUNK] = chunk
-            record[_SL_SCHED] = _SCHEDULES.index(schedule)
+            record[_SL_SCHED] = SCHEDULES.index(schedule)
             return offset
 
         offset = self._locate(f"l:{label}", _K_LOOP, create)
         record = self._arena.view(offset, _SL_WORDS)
-        loop = _ShmSelfschedLoop(self, label, record)
-        if loop.chunk != chunk or loop.schedule != schedule:
-            raise ForceError(
-                f"selfsched '{label}': conflicting policy "
-                f"(existing {loop.schedule!r} chunk={loop.chunk}, "
-                f"requested {schedule!r} chunk={chunk})")
-        return loop.iterate(first, last, step)
+        # The record's creator fixed the policy; a conflicting request
+        # is then reported by selfsched_range.
+        return super()._new_loop(
+            label, int(record[_SL_CHUNK]),
+            SCHEDULES[int(record[_SL_SCHED])],
+            _state=record[:_SL_CHUNK], _condition=self._bus)
 
-    def askfor(self, name: str,
-               initial: list | None = None) -> _ShmAskforMonitor:
-        items = list(initial or [])
+    def _askfor_ring(self, name: str, ctrl_off: int) -> _ArenaRing:
+        ends = self._arena.view(ctrl_off, _AF_CTRL)[_AF_HEAD:_AF_TAIL + 1]
+        # The ring was allocated immediately after the control block.
+        ring_off = ctrl_off + (_AF_CTRL + self.nproc) * 8
+        return _ArenaRing(ends, self._arena.view(ring_off, _ASKFOR_RING,
+                                                 np.float64), name)
 
+    def _new_askfor(self, name: str,
+                    initial: list | None) -> AskforMonitor:
         def create() -> int:
-            ctrl_off = self._arena.alloc(
-                (_AF_CTRL + self.nproc) * 8)
-            ctrl = self._arena.view(ctrl_off, _AF_CTRL + self.nproc)
-            ctrl[:] = 0
-            ring_off = self._arena.alloc(_ASKFOR_RING * 8)
-            ring = self._arena.view(ring_off, _ASKFOR_RING,
-                                    np.float64)
-            for index, item in enumerate(items):
-                ring[index] = item
-            ctrl[_AF_TAIL] = len(items)
-            ctrl[_AF_PUT] = len(items)
-            ctrl[_AF_DEPTH] = len(items)
+            items = list(initial or [])
+            if len(items) > _ASKFOR_RING:
+                raise _ring_full(name)
+            ctrl_off = self._arena.alloc((_AF_CTRL + self.nproc) * 8)
+            self._arena.view(ctrl_off, _AF_CTRL + self.nproc)[:] = 0
+            self._arena.alloc(_ASKFOR_RING * 8)
+            ring = self._askfor_ring(name, ctrl_off)
+            for item in items:
+                ring.append(item)
+            ctrl = self._arena.view(ctrl_off, _AF_CTRL)
+            ctrl[_PUT] = ctrl[_DEPTH] = len(items)
             return ctrl_off
 
         ctrl_off = self._locate(f"s:{name}", _K_ASKFOR, create)
         ctrl = self._arena.view(ctrl_off, _AF_CTRL + self.nproc)
-        holder = ctrl[_AF_CTRL:]
-        # The ring was allocated immediately after the control block.
-        ring_off = ctrl_off + (_AF_CTRL + self.nproc) * 8
-        ring = self._arena.view(ring_off, _ASKFOR_RING, np.float64)
-        return self._cache(name, _ShmAskforMonitor, self, name,
-                           ctrl[:_AF_CTRL], holder, ring)
+        return super()._new_askfor(name, None, _storage=(
+            self._bus, self._askfor_ring(name, ctrl_off), ctrl[:_AF_HEAD],
+            _ArenaHolders(ctrl[_AF_CTRL:], self)))
 
     def resolve(self, name: str, weights: dict[str, float]):
         raise ForceError(
             "resolve is not supported by the process backend")
 
-    def shared_counter(self, name: str,
-                       initial: Any = 0) -> _ShmCounter:
+    def _new_counter(self, name: str, initial: Any) -> _ShmCounter:
         def create() -> int:
             offset = self._arena.alloc(8)
             self._arena.view(offset, 1, np.float64)[0] = initial
             return offset
 
         offset = self._locate(f"s:{name}", _K_COUNTER, create)
-        return self._cache(name, _ShmCounter,
-                           self._arena.view(offset, 1, np.float64))
+        return _ShmCounter(self._arena.view(offset, 1, np.float64))
 
-    def shared_array(self, name: str, shape,
-                     dtype=np.float64) -> np.ndarray:
+    def _new_array(self, name: str, shape, dtype) -> np.ndarray:
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         resolved = np.dtype(dtype)
         code = _DTYPE_CODES.get(resolved)
@@ -1199,34 +740,31 @@ class ProcessForce(Force):
             data[:] = 0
             return header_off
 
-        header_off = self._locate(f"s:{name}", _K_ARRAY, create)
-        header = self._arena.view(header_off, 6)
-        stored_code = int(header[0])
-        stored_shape = tuple(int(header[2 + axis])
-                             for axis in range(int(header[1])))
-        stored_dtype = np.dtype(_DTYPES[stored_code])
-        stored_count = int(np.prod(stored_shape)) \
-            if stored_shape else 1
-        data_off = header_off + 6 * 8
-        data = self._arena.view(data_off, stored_count, stored_dtype)
-        return data.reshape(stored_shape)
+        return self._array_view(
+            self._locate(f"s:{name}", _K_ARRAY, create))
 
-    def async_var(self, name: str) -> _ShmAsyncVariable:
+    def _array_view(self, header_off: int) -> np.ndarray:
+        """The shaped array whose header sits at ``header_off``."""
+        header = self._arena.view(header_off, 6)
+        dtype = np.dtype(_DTYPES[int(header[0])])
+        shape = tuple(int(header[2 + axis])
+                      for axis in range(int(header[1])))
+        count = int(np.prod(shape)) if shape else 1
+        return self._arena.view(header_off + 6 * 8, count,
+                                dtype).reshape(shape)
+
+    def _new_async_var(self, name: str) -> AsyncVariable:
         def create() -> int:
             offset = self._arena.alloc(16)
             self._arena.view(offset, 2)[:] = 0
             return offset
 
         offset = self._locate(f"s:{name}", _K_ASYNC, create)
-        return self._cache(
-            name, _ShmAsyncVariable, self, name,
-            self._arena.view(offset, 1),
-            self._arena.view(offset + 8, 1, np.float64))
+        return super()._new_async_var(
+            name, _cell=_ArenaCell(self._arena, offset),
+            _condition=self._bus)
 
-    def async_array(self, name: str, size: int) -> _ShmAsyncArray:
-        if size <= 0:
-            raise ForceError("AsyncArray size must be positive")
-
+    def _new_async_array(self, name: str, size: int) -> AsyncArray:
         def create() -> int:
             # Word 0 records the cell count so a checkpoint capture
             # can walk the cells from the registry offset alone.
@@ -1237,28 +775,11 @@ class ProcessForce(Force):
 
         offset = self._locate(f"s:{name}", _K_ASYNC_ARRAY, create)
         stored = int(self._arena.view(offset, 1)[0])
-        if stored != size:
-            raise ForceError(
-                f"async_array '{name}' already exists with "
-                f"{stored} cells, not {size}")
-        cells = [
-            _ShmAsyncVariable(
-                self, f"{name}[{index}]",
-                self._arena.view(offset + 8 + 16 * index, 1),
-                self._arena.view(offset + 8 + 16 * index + 8, 1,
-                                 np.float64))
-            for index in range(size)
-        ]
-        return self._cache(name, _ShmAsyncArray, cells)
-
-    def _cache(self, name: str, cls, *args) -> Any:
-        """Per-process proxy cache (the arena state is the truth)."""
-        with self._registry_lock:
-            obj = self._shared.get(name)
-            if obj is None or not isinstance(obj, cls):
-                obj = cls(*args)
-                self._shared[name] = obj
-            return obj
+        return super()._new_async_array(
+            name, stored,
+            _cells=[_ArenaCell(self._arena, offset + 8 + 16 * index)
+                    for index in range(stored)],
+            _condition=self._bus)
 
     # ------------------------------------------------------------------
     # running a program
@@ -1276,15 +797,18 @@ class ProcessForce(Force):
         # a fresh one; the owner-pid guard keeps live forces safe.
         sweep_stale_arenas()
         self._setup_shared(ctx)
-        if self._restore_doc is not None:
-            self._apply_restore_arena()
-        procs = [ctx.Process(target=self._worker,
-                             args=(me, program, args),
-                             name=f"force-{me}", daemon=True)
-                 for me in range(1, self.nproc + 1)]
-        self._procs = procs
+        procs: list = []
         payloads: list = []
         try:
+            # Inside the try: a snapshot that cannot be restored must
+            # still unlink the arena.
+            if self._restore_doc is not None:
+                self._apply_restore_arena()
+            procs = [ctx.Process(target=self._worker,
+                                 args=(me, program, args),
+                                 name=f"force-{me}", daemon=True)
+                     for me in range(1, self.nproc + 1)]
+            self._procs = procs
             for proc in procs:
                 proc.start()
             deadline = None if self.timeout is None \
@@ -1306,7 +830,7 @@ class ProcessForce(Force):
                 sleep(0.005)
             self._drain(payloads)
             self._absorb(payloads)
-            failure = self._load_error()
+            failure = self._cancel.error
             alive = [proc.name for proc in procs if proc.is_alive()]
             deaths = self._death_sites()
             if failure is not None:
@@ -1317,7 +841,7 @@ class ProcessForce(Force):
                     "(deadlock or missing barrier partner?); still "
                     "alive: " + ", ".join(alive),
                     construct=", ".join(alive), timeout=self.timeout)
-                self._poison(error)
+                self._cancel.cancel(error)
                 raise error
             if deaths:
                 me_dead = min(deaths)
@@ -1332,13 +856,11 @@ class ProcessForce(Force):
                         detail=f"exit status {proc.exitcode}")
             # Run completed clean: keep the final state past the
             # arena's lifetime (the differential oracle compares it).
-            self._barrier_epoch = int(self._epoch_v[0])
             if self._checkpoint is not None:
-                self._final_state_doc = build_checkpoint(
-                    epoch=self._barrier_epoch, nproc=self.nproc,
-                    backend=self.backend,
-                    constructs=self._capture_shared())
+                self._final_state_doc = self.capture_state()
         finally:
+            if self._arena is not None:
+                self._epoch_word = [int(self._epoch_word[0])]
             for proc in procs:
                 if proc.is_alive():
                     proc.terminate()
@@ -1348,6 +870,9 @@ class ProcessForce(Force):
                 self._queue.close()
                 self._queue = None
             if self._arena is not None:
+                # No proxy (restore-time ones included) outlives the
+                # arena it reads.
+                self._reset_registry()
                 self._arena.close()
                 self._arena.unlink()
                 self._arena = None
@@ -1368,15 +893,10 @@ class ProcessForce(Force):
             for payload in payloads:
                 if payload[1] is not None:
                     facade.registry.merge(payload[1])
+            self._metrics = facade
             # Askfor gauges live in the arena (every worker sees the
             # same totals); settle them once, parent-side.
-            for key, offset in self._registry_entries(_K_ASKFOR):
-                ctrl = self._arena.view(offset, _AF_CTRL)
-                facade.askfor(key[2:],    # strip the "s:" prefix
-                              total_put=int(ctrl[_AF_PUT]),
-                              total_got=int(ctrl[_AF_GOT]),
-                              max_depth=int(ctrl[_AF_DEPTH]))
-            self._metrics = facade
+            self._settled_registry()
         self._merged_dropped = sum(payload[4] for payload in payloads)
         events: list[TraceEvent] = list(self._parent_events)
         injected: list = []
@@ -1397,9 +917,9 @@ class ProcessForce(Force):
         # name, exactly as in the thread backend.
         threading.current_thread().name = f"force-{me}"
         self._pids_v[me - 1] = os.getpid()
-        self._shared = {}
-        self._criticals = {}
-        self._loops = {}
+        # Proxies built parent-side (restore) carry the parent's
+        # collectors: rebuild them over the same arena words.
+        self._reset_registry()
         self._tracer = TraceCollector(self._trace_capacity,
                                       epoch=self._trace_epoch) \
             if self._trace_enabled else None
@@ -1427,9 +947,9 @@ class ProcessForce(Force):
                               proc=me)
             died = True
         except (ForceDeadlockError, ForceWorkerDied) as exc:
-            self._poison(exc)
+            self._cancel.cancel(exc)
         except BaseException as exc:   # noqa: BLE001 - reported above
-            self._poison(ForceProgramError(me, exc))
+            self._cancel.cancel(ForceProgramError(me, exc))
         finally:
             if tracer is not None:
                 tracer.record("sched", f"force-{me}", "end")

@@ -343,6 +343,34 @@ class TestPicklableState:
         assert clone.timeout == 1.5
 
 
+def injected_raise_program(force, me):
+    force.barrier()
+    force.barrier()
+
+
+class TestInjectedFaultAcrossProcesses:
+    def test_injected_fault_round_trips(self):
+        from repro.faults.injector import InjectedFault
+
+        spec = FaultPlan.from_specs(["raise@barrier.entry:proc=2"]).faults[0]
+        error = ForceProgramError(2, InjectedFault(spec, 2))
+        clone = pickle.loads(pickle.dumps(error))
+        assert type(clone.original) is InjectedFault
+        assert str(clone) == str(error)
+
+    def test_injected_raise_reported_like_the_thread_backend(self):
+        messages = {}
+        for backend in BACKENDS:
+            with pytest.raises(ForceProgramError) as info:
+                _run(backend, injected_raise_program,
+                     inject=FaultPlan.from_specs(
+                         ["raise@barrier.entry:proc=2,n=2"]))
+            messages[backend] = str(info.value)
+        assert messages["thread"] == messages["process"] == (
+            "process 2 failed: InjectedFault('injected fault at "
+            "barrier.entry (process 2, occurrence 2)')")
+
+
 # ----------------------------------------------------------------------
 # backend selection
 # ----------------------------------------------------------------------
@@ -410,3 +438,40 @@ class TestCriticalLockChurn:
 
         force.run(program)
         assert len(set(map(id, seen))) == 1
+
+
+# ----------------------------------------------------------------------
+# the askfor ring bound
+# ----------------------------------------------------------------------
+
+def big_pool_program(force, me):
+    force.askfor("pool", initial=[float(v) for v in range(5000)])
+
+
+def idle_program(force, me):
+    pass
+
+
+class TestAskforRingCapacity:
+    RING_FULL = "askfor 'pool': shared ring full (4096 outstanding items)"
+
+    def test_oversized_initial_list_raises_ring_full(self):
+        before = _shm_segments()
+        with pytest.raises(ForceProgramError) as info:
+            _run("process", big_pool_program, nproc=2)
+        assert isinstance(info.value.original, ForceError)
+        assert str(info.value.original) == self.RING_FULL
+        assert _shm_segments() == before
+
+    def test_oversized_restore_raises_checkpoint_error(self):
+        from repro.runtime.checkpoint import CheckpointError
+
+        source = _run("thread", big_pool_program, nproc=1)
+        doc = source.capture_state()
+        force = Force(2, backend="process", restore=doc,
+                      timeout=JOIN_TIMEOUT)
+        before = _shm_segments()
+        with pytest.raises(CheckpointError) as info:
+            force.run(idle_program)
+        assert self.RING_FULL in str(info.value)
+        assert _shm_segments() == before

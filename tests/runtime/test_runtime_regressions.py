@@ -2,7 +2,10 @@
 cancellation layer: implicit barrier ids, selfsched early exit, and
 Askfor holder/drain bookkeeping."""
 
+import gc
+import sys
 import threading
+import time
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.runtime import (
     BARRIER_ALGORITHMS,
     AskforMonitor,
     Force,
+    ForceProgramError,
     make_barrier,
 )
 from repro._util.errors import ForceError
@@ -107,7 +111,7 @@ class TestAskforBookkeeping:
         # Holders are tracked by thread *object* (ident -> Thread) so
         # dead holders can be detected by liveness.
         monitor = AskforMonitor([1, 2])
-        assert monitor._holder_threads == {}
+        assert monitor._holders._threads == {}
 
     def test_terminated_pool_drains_remaining_items(self):
         monitor = AskforMonitor()
@@ -159,3 +163,28 @@ class TestAskforBookkeeping:
         monitor.get()
         monitor.put(4)                # depth back to 3, not a new high
         assert monitor.max_depth == 3
+
+
+class TestAbandonedSelfschedOnPoisonedForce:
+    def test_generator_close_reports_no_unraisable(self, monkeypatch):
+        # Process 1 holds a live selfsched generator when a barrier
+        # raises ForceCancelled; closing the abandoned generator must
+        # not wait for the exit phase on the poisoned force (which
+        # raised during GeneratorExit and was reported as unraisable).
+        reported = []
+        monkeypatch.setattr(sys, "unraisablehook", reported.append)
+        force = Force(nproc=2, timeout=20)
+
+        def program(force, me):
+            if me == 2:
+                time.sleep(0.1)
+                raise ValueError("boom")
+            indices = force.selfsched_range("L", 1, 10)
+            next(indices)
+            force.barrier()
+
+        with pytest.raises(ForceProgramError) as info:
+            force.run(program)
+        assert info.value.me == 2
+        gc.collect()
+        assert [hook.exc_value for hook in reported] == []
